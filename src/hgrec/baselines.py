@@ -20,8 +20,6 @@ target's contributor, and break score ties by historical comment count
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .config import HyperParams
 from .corpus import ReviewCorpus
 from .errors import HgrecError
@@ -29,13 +27,6 @@ from .hypergraph import path_similarity, _span
 from .recommender import HypergraphRecommender, Recommendation, TargetPR
 
 DAY_SECONDS = 86400
-
-
-class BaselineKind(Enum):
-    AC = "ac"
-    REVFINDER = "revfinder"
-    CHREV = "chrev"
-    CN = "cn"
 
 
 def _ranked(

@@ -123,7 +123,12 @@ class ReviewCorpus:
 
 
 def parse_timestamp(text: str) -> int:
-    """RFC 3339 string -> UTC epoch seconds (sub-second part truncated)."""
+    """RFC 3339 string -> UTC epoch seconds (sub-second part truncated).
+
+    Raises ValueError on a malformed string and TypeError on a non-string.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"expected an RFC 3339 string, got {type(text).__name__}")
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
@@ -165,6 +170,10 @@ def _parse_record(obj: dict, line_number: int) -> PullRequest:
         if not isinstance(raw, dict) or "author" not in raw or "created_at" not in raw:
             raise ExportParseError(
                 line_number, f"comment {i} must carry author and created_at"
+            )
+        if not raw["author"] or not isinstance(raw["author"], str):
+            raise ExportParseError(
+                line_number, f"comment {i} author must be a non-empty string"
             )
         try:
             at = parse_timestamp(raw["created_at"])

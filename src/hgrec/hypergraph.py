@@ -56,6 +56,19 @@ class Hyperedge:
     weight: float = float("nan")
 
 
+@dataclass(frozen=True)
+class PRIndex:
+    """Per-PR arrays of the corpus a graph was built from, in corpus order:
+    the packed file sets, creation times, chronology rank (the top-m tie-break
+    of ``_top_partners``) and vertex index. A graft reads them instead of
+    re-deriving them from the corpus on every query."""
+
+    pack: kernels.FilePack
+    times: np.ndarray
+    chronology: np.ndarray
+    vertices: np.ndarray
+
+
 @dataclass
 class Hypergraph:
     vertices: list[Vertex]
@@ -65,7 +78,7 @@ class Hypergraph:
     raw_range: dict[EdgeKind, tuple[float, float]]
     params: HyperParams
     vertex_ids: dict[tuple[VertexKind, str], int] = field(repr=False)
-    files_pack: kernels.FilePack | None = field(default=None, repr=False, compare=False)
+    pr_index: PRIndex | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -299,6 +312,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
     span = _span(t_start, t_end)
     order_rank = _chronology_rank(corpus.prs)
+    pr_vertices = [vertex_ids[(VertexKind.PR, pr.id)] for pr in corpus.prs]
 
     pair_weights: dict[tuple[int, int], float] = {}
     for i in range(len(corpus.prs)):
@@ -309,9 +323,9 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
             pair_weights.setdefault(pair, float(raw[j]))
 
     for (i, j), raw_weight in sorted(pair_weights.items()):
-        a = vertex_ids[(VertexKind.PR, corpus.prs[i].id)]
-        b = vertex_ids[(VertexKind.PR, corpus.prs[j].id)]
-        add_edge(EdgeKind.PR_PR, tuple(sorted((a, b))), raw_weight)
+        add_edge(
+            EdgeKind.PR_PR, tuple(sorted((pr_vertices[i], pr_vertices[j]))), raw_weight
+        )
 
     graph = Hypergraph(
         vertices=vertices,
@@ -321,7 +335,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
         raw_range={},
         params=params,
         vertex_ids=vertex_ids,
-        files_pack=pack,
+        pr_index=PRIndex(pack, times, order_rank, np.asarray(pr_vertices)),
     )
     return normalize_weights(graph)
 

@@ -1,9 +1,12 @@
 """End-to-end recommendation: graft a target PR, seed a query, rank, filter.
 
-A recommendation never mutates the base graph: the target PR (and its
-contributor, when new) is added to a shallow overlay copy, connected by one
-contributor edge plus its top-m strongest similar-PR edges, and scored by the
-ranker. Candidates are the developer vertices minus the target's contributor
+A fit builds the base graph and everything every query reads: its ranking
+system (kernel, degrees and a fill-reducing elimination order) and the
+candidate developers. A recommendation never mutates that state: the target
+PR (and its contributor, when new) is added to a shallow overlay copy,
+connected by one contributor edge plus its top-m strongest similar-PR edges;
+the base system is bordered with those appended vertices and edges and
+solved. Candidates are the developer vertices minus the target's contributor
 and any bot accounts.
 """
 
@@ -57,25 +60,66 @@ class Recommendation:
         return [dev for dev, _ in self.candidates]
 
 
-def graft(
-    base: Hypergraph,
-    corpus: ReviewCorpus,
-    target: TargetPR,
-    params: HyperParams,
-) -> Hypergraph:
+@dataclass(frozen=True)
+class Candidates:
+    """Non-bot developer vertices sorted by id, with their historical comment
+    counts: the rows rank_developers orders."""
+
+    ids: tuple[str, ...]
+    vertices: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass(frozen=True)
+class FitState:
+    """Everything a query reads and none changes: the base graph, its ranking
+    system with a fill-reducing elimination order, and the candidates."""
+
+    graph: Hypergraph
+    system: ranker.RankingSystem
+    candidates: Candidates
+
+
+def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitState:
+    """Per-fit state of a base graph built from ``corpus`` with ``params``."""
+    if base.params != params:
+        raise HgrecError("params differ from the ones the base graph was built with")
+    if base.pr_index is None:
+        raise HgrecError("base graph carries no PR index; rebuild it from a corpus")
+    system = ranker.assemble(base, params.alpha)
+    if ranker.uses_direct(params, base.n_vertices):
+        ranker.ordered_matrix(system)
+    counts = corpus.comment_counts()
+    rows = sorted(
+        (v.ref, v.index)
+        for v in base.vertices
+        if v.kind is VertexKind.DEVELOPER
+        and not (v.ref in corpus.developers and corpus.developers[v.ref].is_bot)
+    )
+    candidates = Candidates(
+        ids=tuple(ref for ref, _ in rows),
+        vertices=np.asarray([index for _, index in rows], dtype=np.int64),
+        counts=np.asarray([counts.get(ref, 0) for ref, _ in rows], dtype=np.int64),
+    )
+    return FitState(graph=base, system=system, candidates=candidates)
+
+
+def graft(state: FitState, target: TargetPR) -> Hypergraph:
     """Overlay the target PR onto the base graph.
 
-    The dataset end bound is extended to the target's creation time when it
-    postdates the corpus, keeping every time ratio in range. New edge weights
-    are projected onto the base graph's per-family normalization scale so
-    they are comparable with existing weights.
+    The target always becomes a new PR vertex, appended after the base
+    vertices (as does its contributor, when new), and every new edge is
+    appended after the base edges. The dataset end bound is extended to the
+    target's creation time when it postdates the corpus, keeping every time
+    ratio in range. New edge weights are projected onto the base graph's
+    per-family normalization scale so they are comparable with existing
+    weights.
     """
+    base = state.graph
     if not target.files:
         raise HgrecError(f"target PR {target.id!r} has no files")
-    if base.params != params:
-        raise HgrecError("graft params differ from the ones the base was built with")
-    if base.files_pack is None:
-        raise HgrecError("base graph carries no file pack; rebuild it from a corpus")
+    if base.vertex_index(VertexKind.PR, target.id) is not None:
+        raise HgrecError(f"target id {target.id!r} is already a PR of the corpus")
 
     t_start = base.bounds[0]
     t_end = max(base.bounds[1], target.created_at)
@@ -109,21 +153,14 @@ def graft(
         weight_pr_contributor(target, t_start, t_end),
     )
 
-    pack = base.files_pack
-    times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
-    t_tokens, t_off = pack.pack_one(target.files)
+    index = base.pr_index
+    t_tokens, t_off = index.pack.pack_one(target.files)
     raw = pr_pr_raw_row(
-        pack, times, _span(t_start, t_end), t_tokens, t_off, target.created_at
+        index.pack, index.times, _span(t_start, t_end), t_tokens, t_off,
+        target.created_at,
     )
-    order_rank = np.empty(len(corpus.prs), dtype=np.int64)
-    order = sorted(
-        range(len(corpus.prs)),
-        key=lambda i: (corpus.prs[i].created_at, corpus.prs[i].id),
-    )
-    for position, i in enumerate(order):
-        order_rank[i] = position
-    for j in _top_partners(raw, order_rank, params.top_m):
-        partner_v = vertex_ids[(VertexKind.PR, corpus.prs[j].id)]
+    for j in _top_partners(raw, index.chronology, base.params.top_m):
+        partner_v = int(index.vertices[j])
         add_edge(
             EdgeKind.PR_PR, tuple(sorted((pr_v, partner_v))), float(raw[j])
         )
@@ -134,9 +171,9 @@ def graft(
         by_kind=by_kind,
         bounds=(t_start, t_end),
         raw_range=dict(base.raw_range),
-        params=params,
+        params=base.params,
         vertex_ids=vertex_ids,
-        files_pack=pack,
+        pr_index=index,
     )
 
 
@@ -153,24 +190,30 @@ def query_vector(graph: Hypergraph, target: TargetPR) -> np.ndarray:
 
 
 def rank_developers(
-    scores: np.ndarray,
-    graph: Hypergraph,
-    corpus: ReviewCorpus,
-    exclude: frozenset[str],
+    scores: np.ndarray, candidates: Candidates, exclude: frozenset[str]
 ) -> list[tuple[str, float]]:
-    """Developer vertices sorted by score, ties broken by historical comment
-    count (more first) then id. Bot accounts and ``exclude`` are dropped."""
-    counts = corpus.comment_counts()
-    rows = []
-    for v in graph.vertices:
-        if v.kind is not VertexKind.DEVELOPER or v.ref in exclude:
-            continue
-        dev = corpus.developers.get(v.ref)
-        if dev is not None and dev.is_bot:
-            continue
-        rows.append((v.ref, float(scores[v.index])))
-    rows.sort(key=lambda row: (-row[1], -counts.get(row[0], 0), row[0]))
-    return rows
+    """Candidates sorted by score, ties broken by historical comment count
+    (more first) then id; ``exclude`` is dropped."""
+    values = scores[candidates.vertices]
+    by_id = np.arange(len(values))
+    order = np.lexsort((by_id, -candidates.counts, -values))
+    ids = candidates.ids
+    return [(ids[i], float(values[i])) for i in order if ids[i] not in exclude]
+
+
+def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
+    """Algorithmic pipeline: graft, seed, border the base system and solve,
+    filter and sort, truncate."""
+    if k < 1:
+        raise HgrecError(f"k must be >= 1, got {k}")
+    params = state.graph.params
+    graph = graft(state, target)
+    system = ranker.assemble(graph, params.alpha, base=state.system)
+    scores = ranker.solve(system, query_vector(graph, target), params)
+    ranked = rank_developers(
+        scores, state.candidates, exclude=frozenset({target.contributor})
+    )
+    return Recommendation(target=target.id, k=k, candidates=ranked[:k])
 
 
 def recommend(
@@ -180,40 +223,34 @@ def recommend(
     params: HyperParams,
     k: int,
 ) -> Recommendation:
-    """Algorithmic pipeline: graft, seed, solve, filter and sort, truncate."""
-    if k < 1:
-        raise HgrecError(f"k must be >= 1, got {k}")
-    graph = graft(base, corpus, target, params)
-    system = ranker.assemble(graph, params.alpha)
-    scores = ranker.solve(system, query_vector(graph, target), params)
-    ranked = rank_developers(scores, graph, corpus, exclude=frozenset({target.contributor}))
-    return Recommendation(target=target.id, k=k, candidates=ranked[:k])
+    """One query against a base graph; fit-and-recommend in one call."""
+    return rank(prepare(base, corpus, params), target, k)
 
 
 class HypergraphRecommender:
-    """fit/recommend wrapper caching the base graph per training corpus."""
+    """fit/recommend wrapper caching the per-fit state of a training corpus."""
 
     name = "hgrec"
 
     def __init__(self, params: HyperParams | None = None):
         self.params = params or HyperParams()
-        self._corpus = None
-        self._base = None
+        self._state: FitState | None = None
 
     def fit(self, corpus: ReviewCorpus) -> "HypergraphRecommender":
         from .hypergraph import build
 
-        self._corpus = corpus
-        self._base = build(corpus, self.params)
+        self._state = prepare(build(corpus, self.params), corpus, self.params)
         return self
 
     @property
-    def base_graph(self) -> Hypergraph:
-        if self._base is None:
+    def state(self) -> FitState:
+        if self._state is None:
             raise HgrecError("recommender is not fitted")
-        return self._base
+        return self._state
+
+    @property
+    def base_graph(self) -> Hypergraph:
+        return self.state.graph
 
     def recommend(self, target: TargetPR, k: int) -> Recommendation:
-        if self._base is None:
-            raise HgrecError("recommender is not fitted")
-        return recommend(self._base, self._corpus, target, self.params, k)
+        return rank(self.state, target, k)

@@ -77,6 +77,26 @@ class TestIngest:
         assert stats["skipped_lines"] == 1
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda obj: obj.update(created_at=1577836800),
+            lambda obj: obj["comments"][0].update(created_at=1577836800),
+            lambda obj: obj["comments"][0].update(author=42),
+        ],
+        ids=["pr-created-at", "comment-created-at", "comment-author"],
+    )
+    def test_mistyped_field_exits_2_with_line(self, tmp_path, capsys, corrupt):
+        rows = FIXTURE.read_text().splitlines()
+        obj = json.loads(rows[2])
+        corrupt(obj)
+        rows[2] = json.dumps(obj)
+        src = tmp_path / "typed.jsonl"
+        src.write_text("\n".join(rows) + "\n")
+        code = main(["ingest", "--input", str(src), "--output", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_stats_match_independent_recount(self, capsys, tmp_path, bots_file):
         """Recount the cleaned corpus with naive, separate bookkeeping."""
         out = tmp_path / "corpus.json"
@@ -181,6 +201,15 @@ class TestRecommend:
              "--contributor", "eve", "--time", "2020-08-01T00:00:00Z"]
         )
         assert code == 2
+
+    def test_existing_pr_id_exits_2(self, corpus_artifact, capsys):
+        code = main(
+            ["recommend", "--corpus", corpus_artifact, "--files", "src/net/tcp.c",
+             "--contributor", "eve", "--time", "2020-08-01T00:00:00Z",
+             "--id", "pr-001"]
+        )
+        assert code == 2
+        assert "pr-001" in capsys.readouterr().err
 
     def test_unknown_contributor_allowed(self, corpus_artifact, capsys):
         code = main(

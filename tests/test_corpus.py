@@ -89,6 +89,31 @@ class TestParseExport:
     def test_offset_timestamps_normalized_to_utc(self):
         assert parse_timestamp("2020-01-01T05:00:00+05:00") == T0
 
+    def test_numeric_pr_created_at_names_line(self):
+        obj = json.loads(line())
+        obj["created_at"] = 1577836800
+        with pytest.raises(ExportParseError) as err:
+            parse_export(io.StringIO(line() + "\n" + json.dumps(obj)))
+        assert err.value.line_number == 2
+        assert "created_at" in str(err.value)
+
+    def test_numeric_comment_created_at_names_line(self):
+        obj = json.loads(line())
+        obj["comments"] = [{"author": "bob", "created_at": 1577836800}]
+        with pytest.raises(ExportParseError) as err:
+            parse_export(io.StringIO(line() + "\n" + json.dumps(obj)))
+        assert err.value.line_number == 2
+        assert "comment 0" in str(err.value)
+
+    @pytest.mark.parametrize("author", [7, None, "", ["bob"]])
+    def test_non_string_comment_author_names_line(self, author):
+        obj = json.loads(line())
+        obj["comments"] = [{"author": author, "created_at": "2020-01-02T00:00:00Z"}]
+        with pytest.raises(ExportParseError) as err:
+            parse_export(io.StringIO(json.dumps(obj)))
+        assert err.value.line_number == 1
+        assert "author" in str(err.value)
+
 
 class TestClean:
     def test_open_pr_removed(self):

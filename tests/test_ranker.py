@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hgrec.config import HyperParams
-from hgrec.errors import ConfigError, ConvergenceError, NoEdgesError
+from hgrec.errors import ConfigError, ConvergenceError, NoEdgesError, SolverError
 from hgrec.hypergraph import EdgeKind
 from hgrec.ranker import (
+    RankingSystem,
     assemble,
     solve,
     solve_direct,
@@ -25,9 +27,10 @@ def two_vertex_graph(weight=0.5):
 
 class TestAssemble:
     def test_single_edge_degrees(self):
+        # K = H W De^-1 H^T: the edge degree 2 halves the weight everywhere
         system = assemble(two_vertex_graph(0.5), alpha=0.5)
         np.testing.assert_allclose(system.vertex_degree, [0.5, 0.5])
-        np.testing.assert_allclose(system.edge_degree, [2.0])
+        np.testing.assert_allclose(system.kernel.toarray(), [[0.25, 0.25]] * 2)
 
     def test_vertex_degree_sums_edge_weights(self):
         graph = make_graph(
@@ -43,7 +46,7 @@ class TestAssemble:
     def test_reviewer_edge_degree_is_member_count(self):
         graph = make_graph(4, [(EdgeKind.PR_REVIEWER, (0, 1, 2, 3), 1.0)])
         system = assemble(graph, alpha=0.9)
-        assert system.edge_degree[0] == 4.0
+        np.testing.assert_allclose(system.kernel.toarray(), np.full((4, 4), 0.25))
 
     def test_no_edges_rejected(self):
         with pytest.raises(NoEdgesError):
@@ -154,6 +157,23 @@ class TestSolveDirect:
         system = assemble(graph, alpha=0.9)
         scores = solve_direct(system, np.array([1.0, 0.0, 0.0]))
         assert scores[1] == pytest.approx(scores[2], abs=1e-14)
+
+    def test_residual_postcondition_rejects_corrupted_system(self):
+        # A negative kernel makes S indefinite with near-zero pivots; the
+        # unpivoted factorization then loses every digit of the solution.
+        n = 3
+        kernel = sp.coo_matrix(-(np.ones((n, n)) - np.eye(n)) / 0.9)
+        system = RankingSystem(
+            kernel, np.full(n, 1e-16), alpha=0.9, n_edges=1, order=np.arange(n)
+        )
+        with pytest.raises(SolverError, match="residual"):
+            solve_direct(system, np.array([1e16, 2e16, 3e16]))
+
+    def test_non_finite_scores_rejected(self):
+        system = assemble(two_vertex_graph(), alpha=0.5)
+        system.vertex_degree[0] = np.inf
+        with pytest.raises(SolverError):
+            solve_direct(system, np.array([1.0, 0.0]))
 
 
 class TestSolveIterative:

@@ -13,6 +13,7 @@ from hgrec.recommender import (
     HypergraphRecommender,
     TargetPR,
     graft,
+    prepare,
     query_vector,
     recommend,
 )
@@ -41,7 +42,7 @@ class TestGraft:
         base = build(corpus, params)
         target = TargetPR("t", "ann", corpus.prs[0].created_at,
                           files=corpus.prs[0].files)
-        grafted = graft(base, corpus, target, params)
+        grafted = graft(prepare(base, corpus, params), target)
         new_edges = grafted.edges[len(base.edges):]
         pr_pr = [e for e in new_edges if e.kind is EdgeKind.PR_PR]
         strongest = max(pr_pr, key=lambda e: e.raw_weight)
@@ -54,7 +55,7 @@ class TestGraft:
         params = HyperParams(top_m=10)
         base = build(corpus, params)
         target = TargetPR("t", "zoe", T0 + 20 * DAY, files=("src/net/a.c",))
-        grafted = graft(base, corpus, target, params)
+        grafted = graft(prepare(base, corpus, params), target)
         new_pr_pr = [
             e for e in grafted.edges[len(base.edges):] if e.kind is EdgeKind.PR_PR
         ]
@@ -65,7 +66,7 @@ class TestGraft:
         params = HyperParams()
         base = build(corpus, params)
         target = TargetPR("t", "ann", T0 + 15 * DAY, files=("src/net/a.c",))
-        grafted = graft(base, corpus, target, params)
+        grafted = graft(prepare(base, corpus, params), target)
         assert grafted.n_vertices == base.n_vertices + 1
 
     def test_new_contributor_adds_two_vertices(self):
@@ -73,7 +74,7 @@ class TestGraft:
         params = HyperParams()
         base = build(corpus, params)
         target = TargetPR("t", "zoe", T0 + 15 * DAY, files=("src/net/a.c",))
-        grafted = graft(base, corpus, target, params)
+        grafted = graft(prepare(base, corpus, params), target)
         assert grafted.n_vertices == base.n_vertices + 2
 
     def test_base_not_mutated(self):
@@ -82,7 +83,7 @@ class TestGraft:
         base = build(corpus, params)
         snapshot = copy.deepcopy((base.vertices, base.edges, base.by_kind))
         target = TargetPR("t", "zoe", T0 + 15 * DAY, files=("src/net/a.c",))
-        graft(base, corpus, target, params)
+        graft(prepare(base, corpus, params), target)
         assert (base.vertices, base.edges, base.by_kind) == snapshot
 
     def test_future_target_extends_bounds(self):
@@ -90,8 +91,8 @@ class TestGraft:
         params = HyperParams()
         base = build(corpus, params)
         future = corpus.t_end + 30 * DAY
-        grafted = graft(base, corpus, TargetPR("t", "ann", future, ("docs/x.md",)),
-                        params)
+        grafted = graft(prepare(base, corpus, params),
+                        TargetPR("t", "ann", future, ("docs/x.md",)))
         assert grafted.bounds == (corpus.t_start, future)
 
     def test_empty_files_rejected(self):
@@ -99,7 +100,20 @@ class TestGraft:
         params = HyperParams()
         base = build(corpus, params)
         with pytest.raises(HgrecError):
-            graft(base, corpus, TargetPR("t", "ann", T0, ()), params)
+            graft(prepare(base, corpus, params), TargetPR("t", "ann", T0, ()))
+
+    def test_existing_pr_id_rejected(self):
+        # the target would merge into p1's vertex instead of becoming a new one
+        corpus = small_corpus()
+        params = HyperParams()
+        base = build(corpus, params)
+        with pytest.raises(HgrecError, match="p1"):
+            graft(prepare(base, corpus, params),
+                  TargetPR("p1", "zoe", T0 + 15 * DAY, ("src/net/a.c",)))
+        with pytest.raises(HgrecError, match="p1"):
+            recommend(base, corpus,
+                      TargetPR("p1", "zoe", T0 + 15 * DAY, ("src/net/a.c",)),
+                      params, k=1)
 
     def test_equal_weight_partners_tie_break_older_then_id(self):
         # two partner PRs with identical files sit at the same time distance
@@ -115,7 +129,7 @@ class TestGraft:
         params = HyperParams(top_m=1)
         base = build(corpus, params)
         target = TargetPR("t", "zoe", T0 + 10 * DAY, files=("src/n/a.c",))
-        grafted = graft(base, corpus, target, params)
+        grafted = graft(prepare(base, corpus, params), target)
         new_pr_pr = [
             e for e in grafted.edges[len(base.edges):] if e.kind is EdgeKind.PR_PR
         ]
@@ -129,7 +143,7 @@ class TestGraft:
         params = HyperParams()
         base = build(corpus, params)
         target = TargetPR("t", "zoe", corpus.t_end + DAY, files=("src/net/a.c",))
-        grafted = graft(base, corpus, target, params)
+        grafted = graft(prepare(base, corpus, params), target)
         for edge in grafted.edges[len(base.edges):]:
             assert 0.0 <= edge.weight <= 1.0
 
@@ -140,7 +154,7 @@ class TestQueryVector:
         params = HyperParams()
         base = build(corpus, params)
         target = TargetPR("t", "ann", T0 + 15 * DAY, files=("src/net/a.c",))
-        grafted = graft(base, corpus, target, params)
+        grafted = graft(prepare(base, corpus, params), target)
         query = query_vector(grafted, target)
         assert query.sum() == 2.0
         assert set(np.unique(query)) == {0.0, 1.0}
@@ -241,7 +255,7 @@ class TestRecommend:
         result = recommend(base, specialist_corpus, target, params, k=1)
         assert result.ids() == ["nina"]
 
-        grafted = graft(base, specialist_corpus, target, params)
+        grafted = graft(prepare(base, specialist_corpus, params), target)
         system = ranker.assemble(grafted, params.alpha)
         scores = ranker.solve_direct(system, query_vector(grafted, target))
         best, best_score = None, -1.0
@@ -285,7 +299,7 @@ class TestRecommend:
         base = build(specialist_corpus, HyperParams(alpha=0.9))
         target = TargetPR("t", "carla", T0, files=("src/net/x.c",))
         with pytest.raises(HgrecError):
-            graft(base, specialist_corpus, target, HyperParams(alpha=0.5))
+            prepare(base, specialist_corpus, HyperParams(alpha=0.5))
 
 
 class TestWrapper:
