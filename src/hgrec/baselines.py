@@ -20,10 +20,11 @@ target's contributor, and break score ties by historical comment count
 
 from __future__ import annotations
 
+from . import kernels
 from .config import HyperParams
 from .corpus import ReviewCorpus
 from .errors import HgrecError
-from .hypergraph import path_similarity, _span
+from .hypergraph import _span
 from .recommender import HypergraphRecommender, Recommendation, TargetPR
 
 DAY_SECONDS = 86400
@@ -66,18 +67,18 @@ def revfinder_recommend(
     """Accrue each past PR's mean path similarity to its reviewers."""
     if not target.files:
         raise HgrecError(f"target PR {target.id!r} has no files")
+    past = [(pr.reviewers(), pr.files) for pr in corpus.prs]
+    past = [(reviewers, files) for reviewers, files in past if reviewers and files]
     scores: dict[str, float] = {}
-    for pr in corpus.prs:
-        reviewers = pr.reviewers()
-        if not reviewers or not pr.files:
-            continue
-        total = 0.0
-        for tf in target.files:
-            for pf in pr.files:
-                total += path_similarity(tf, pf, unit)
-        mean = total / (len(target.files) * len(pr.files))
-        for reviewer in reviewers:
-            scores[reviewer] = scores.get(reviewer, 0.0) + mean
+    if past:
+        pack = kernels.FilePack.from_file_sets([files for _, files in past], unit)
+        t_tokens, t_off = pack.pack_one(target.files)
+        means = kernels.mean_similarity_row(
+            t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
+        )
+        for (reviewers, _), mean in zip(past, means.tolist()):
+            for reviewer in reviewers:
+                scores[reviewer] = scores.get(reviewer, 0.0) + mean
     return _ranked(scores, corpus, target, k)
 
 

@@ -18,6 +18,7 @@ from . import __version__
 from .baselines import RECOMMENDER_LABELS, create_recommender
 from .config import HyperParams, RunConfig
 from .corpus import (
+    check_files,
     clean,
     corpus_from_json,
     corpus_to_json,
@@ -259,11 +260,15 @@ def _target_from_args(args) -> TargetPR:
     if args.target:
         with open(args.target, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
+        try:
+            files = check_files(obj.get("files"))
+        except ValueError as exc:
+            raise HgrecError(f"target: {exc}") from exc
         return TargetPR(
             id=obj.get("id", "target"),
             contributor=obj["contributor"],
             created_at=parse_timestamp(obj["created_at"]),
-            files=tuple(obj["files"]),
+            files=tuple(files),
         )
     if not (args.files and args.contributor and args.time):
         raise HgrecError("pass --target FILE or all of --files/--contributor/--time")

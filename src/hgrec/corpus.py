@@ -144,6 +144,17 @@ def format_timestamp(epoch: int) -> str:
     )
 
 
+def check_files(files: object) -> list[str]:
+    """Return ``files`` if it is a list of non-empty path strings, the rule
+    for an export record and for a ``recommend`` target alike; raise
+    ValueError otherwise."""
+    if not isinstance(files, list) or not all(
+        isinstance(f, str) and f for f in files
+    ):
+        raise ValueError("files must be a list of non-empty strings")
+    return files
+
+
 def _parse_record(obj: dict, line_number: int) -> PullRequest:
     for key in ("id", "contributor", "created_at", "state"):
         if key not in obj:
@@ -161,9 +172,10 @@ def _parse_record(obj: dict, line_number: int) -> PullRequest:
     except (ValueError, TypeError) as exc:
         raise ExportParseError(line_number, f"bad created_at: {exc}") from exc
 
-    files = obj.get("files", [])
-    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
-        raise ExportParseError(line_number, "files must be a list of strings")
+    try:
+        files = check_files(obj.get("files", []))
+    except ValueError as exc:
+        raise ExportParseError(line_number, str(exc)) from exc
 
     comments = []
     for i, raw in enumerate(obj.get("comments", [])):

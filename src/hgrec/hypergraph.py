@@ -87,9 +87,6 @@ class Hypergraph:
     def vertex_index(self, kind: VertexKind, ref: str) -> int | None:
         return self.vertex_ids.get((kind, ref))
 
-    def developer_indices(self) -> list[int]:
-        return [v.index for v in self.vertices if v.kind is VertexKind.DEVELOPER]
-
 
 # ---------------------------------------------------------------------------
 # Edge-weight formulas.

@@ -23,6 +23,13 @@ def tokenize(path: str, unit: str) -> list[str]:
     return path.split("/") if unit == "components" else list(path)
 
 
+def _check_path(path: str) -> None:
+    # In characters an empty path has no tokens, and its similarity to
+    # another empty path would be 0/0.
+    if not path:
+        raise ValueError("cannot pack an empty file path")
+
+
 @dataclass
 class FilePack:
     unit: str
@@ -47,6 +54,7 @@ class FilePack:
             if not files:
                 raise ValueError("cannot pack an empty file set")
             for path in files:
+                _check_path(path)
                 for tok in tokenize(path, unit):
                     tid = vocab.setdefault(tok, len(vocab))
                     tokens.append(tid)
@@ -72,6 +80,7 @@ class FilePack:
         tokens: list[int] = []
         offsets = [0]
         for path in files:
+            _check_path(path)
             for tok in tokenize(path, self.unit):
                 tid = self.vocab.get(tok)
                 if tid is None:

@@ -1,5 +1,7 @@
 """Simplified baseline recommenders."""
 
+import random
+
 import pytest
 
 from hgrec.baselines import (
@@ -10,6 +12,7 @@ from hgrec.baselines import (
     revfinder_recommend,
 )
 from hgrec.errors import HgrecError
+from hgrec.hypergraph import path_similarity
 from hgrec.recommender import TargetPR
 
 from conftest import DAY, make_corpus, make_pr
@@ -104,6 +107,39 @@ class TestRevfinder:
         # components shared)
         result = revfinder_recommend(corpus, target(files=("src/a.c",)), k=1)
         assert dict(result.candidates)["rex"] == pytest.approx(1.0 + 1 / 2)
+
+    @pytest.mark.parametrize("unit", ["components", "chars"])
+    def test_scores_equal_scalar_double_loop(self, unit):
+        rng = random.Random(5)
+        parts = ["src", "lib", "net", "a", "b", "x.c", "y.h", "z.md"]
+
+        def paths(n):
+            return sorted({"/".join(rng.choices(parts, k=rng.randint(1, 4)))
+                           for _ in range(n)})
+
+        people = ["ann", "bo", "cy", "di", "ed"]
+        prs = [
+            make_pr(f"p{i}", rng.choice(people), T0 + i * DAY, paths(rng.randint(1, 5)),
+                    comments=[(rng.choice(people), T0 + i * DAY + 1)
+                              for _ in range(rng.randint(0, 3))])
+            for i in range(40)
+        ]
+        corpus = make_corpus(prs)
+        for files in (paths(3), paths(1), ["new/dir/q.c", "src/net/x.c"]):
+            expected = {}
+            for pr in corpus.prs:
+                if not pr.reviewers():
+                    continue
+                total = 0.0
+                for tf in files:
+                    for pf in pr.files:
+                        total += path_similarity(tf, pf, unit)
+                mean = total / (len(files) * len(pr.files))
+                for reviewer in pr.reviewers():
+                    expected[reviewer] = expected.get(reviewer, 0.0) + mean
+            result = revfinder_recommend(corpus, target("ann", files), k=10, unit=unit)
+            expected.pop("ann", None)
+            assert dict(result.candidates) == expected
 
 
 class TestChrev:

@@ -97,6 +97,17 @@ class TestIngest:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_empty_path_exits_2_with_line(self, tmp_path, capsys):
+        rows = FIXTURE.read_text().splitlines()
+        obj = json.loads(rows[4])
+        obj["files"] = obj["files"] + [""]
+        rows[4] = json.dumps(obj)
+        src = tmp_path / "empty-path.jsonl"
+        src.write_text("\n".join(rows) + "\n")
+        code = main(["ingest", "--input", str(src), "--output", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "line 5" in capsys.readouterr().err
+
     def test_stats_match_independent_recount(self, capsys, tmp_path, bots_file):
         """Recount the cleaned corpus with naive, separate bookkeeping."""
         out = tmp_path / "corpus.json"
@@ -194,6 +205,19 @@ class TestRecommend:
                      "--target", str(target)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["target"] == "incoming"
+
+    @pytest.mark.parametrize("files", ["src/net/udp.c", [1], [""], None])
+    def test_target_file_bad_files_exits_2(self, corpus_artifact, capsys, tmp_path, files):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({
+            "contributor": "eve",
+            "created_at": "2020-08-01T00:00:00Z",
+            "files": files,
+        }))
+        code = main(["recommend", "--corpus", corpus_artifact, "--target", str(target),
+                     "--similarity-unit", "chars"])
+        assert code == 2
+        assert "target: files" in capsys.readouterr().err
 
     def test_empty_files_exits_2(self, corpus_artifact, capsys):
         code = main(

@@ -115,6 +115,16 @@ class TestParseExport:
         assert "author" in str(err.value)
 
 
+    @pytest.mark.parametrize("files", [[""], ["src/a.c", ""], "src/a.c", [1], None])
+    def test_bad_files_names_line(self, files):
+        obj = json.loads(line())
+        obj["files"] = files
+        with pytest.raises(ExportParseError) as err:
+            parse_export(io.StringIO(line() + "\n" + json.dumps(obj)))
+        assert err.value.line_number == 2
+        assert "files" in str(err.value)
+
+
 class TestClean:
     def test_open_pr_removed(self):
         raw = [

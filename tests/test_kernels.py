@@ -1,7 +1,5 @@
-"""Backend selection and cross-implementation equivalence of the kernels."""
+"""The numpy path-similarity kernel against the scalar loop, bit for bit."""
 
-import importlib.util
-import os
 import random
 
 import numpy as np
@@ -9,12 +7,7 @@ import pytest
 
 import hgrec.kernels as kernels
 from hgrec.kernels import FilePack
-from hgrec.kernels import _pairwise_py
 from hgrec.hypergraph import path_similarity
-
-HAS_CYTHON_EXT = (
-    importlib.util.find_spec("hgrec.kernels._pairwise_cy") is not None
-)
 
 
 def random_file_sets(rng, n_sets, unit):
@@ -37,14 +30,17 @@ def naive_mean_similarity(files_a, files_b, unit):
     return total / (len(files_a) * len(files_b))
 
 
-def test_backend_is_selected():
-    assert kernels.BACKEND in ("cython", "python")
+def kernel_row(pack, t_tokens, t_off):
+    return kernels.mean_similarity_row(
+        t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
+    )
 
 
-def test_compiled_backend_active_when_available():
-    forced = os.environ.get("HGREC_KERNEL", "auto") not in ("", "auto")
-    if HAS_CYTHON_EXT and not forced:
-        assert kernels.BACKEND == "cython"
+def assert_rows_exact(sets, targets, unit):
+    pack = FilePack.from_file_sets(sets, unit)
+    for target in targets:
+        row = kernel_row(pack, *pack.pack_one(target)).tolist()
+        assert row == [naive_mean_similarity(target, s, unit) for s in sets]
 
 
 @pytest.mark.parametrize("unit", ["components", "chars"])
@@ -53,33 +49,40 @@ def test_python_kernel_matches_naive_similarity(unit):
     sets = random_file_sets(rng, 12, unit)
     pack = FilePack.from_file_sets(sets, unit)
     for i in range(len(sets)):
-        t_tokens, t_off = pack.slice_one(i)
-        row = _pairwise_py.mean_similarity_row(
-            t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
-        )
-        for j in range(len(sets)):
-            assert row[j] == pytest.approx(
-                naive_mean_similarity(sets[i], sets[j], unit), abs=1e-12
-            )
+        row = kernel_row(pack, *pack.slice_one(i)).tolist()
+        assert row == [naive_mean_similarity(sets[i], s, unit) for s in sets]
 
 
-@pytest.mark.skipif(not HAS_CYTHON_EXT, reason="compiled kernel not built")
 @pytest.mark.parametrize("unit", ["components", "chars"])
-def test_cython_matches_python_kernel(unit):
-    from hgrec.kernels import _pairwise_cy
+def test_one_large_set_matches_naive_similarity(unit):
+    # One set far larger than the rest: its partner slots outlive every
+    # other set's, and its many-term sum is the easiest to reorder.
+    rng = random.Random(17)
+    sets = random_file_sets(rng, 30, unit)
+    sets.insert(7, sorted({f for files in sets for f in files}))
+    assert_rows_exact(sets, sets[5:10], unit)
 
-    rng = random.Random(13)
-    sets = random_file_sets(rng, 25, unit)
-    pack = FilePack.from_file_sets(sets, unit)
-    for i in range(len(sets)):
-        t_tokens, t_off = pack.slice_one(i)
-        fast = _pairwise_cy.mean_similarity_row(
-            t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
-        )
-        slow = _pairwise_py.mean_similarity_row(
-            t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
-        )
-        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_unseen_tokens_match_naive_similarity(unit):
+    rng = random.Random(19)
+    sets = random_file_sets(rng, 20, unit)
+    targets = [
+        ["src/new/x.c", "brand/new.md"],
+        ["zz", "src/lib/q.h", "src/net"],
+        [files[0] + "/deeper" for files in sets[:3]],
+    ]
+    assert_rows_exact(sets, targets, unit)
+
+
+def test_out_is_filled_and_returned():
+    pack = FilePack.from_file_sets([["src/a/x.c"], ["src/b.c", "docs/c.md"]], "components")
+    out = np.full(2, np.nan)
+    row = kernels.mean_similarity_row(
+        *pack.pack_one(["src/a/y.c"]), pack.tokens, pack.file_off, pack.set_off, out=out
+    )
+    assert row is out
+    assert out.tolist() == [2 / 3, (1 / 3 + 0.0) / 2]
 
 
 def test_pack_one_unseen_tokens_never_match_corpus():
@@ -115,3 +118,12 @@ def test_empty_file_set_rejected():
     pack = FilePack.from_file_sets([["a"]], "components")
     with pytest.raises(ValueError):
         pack.pack_one([])
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_empty_path_rejected(unit):
+    with pytest.raises(ValueError, match="empty file path"):
+        FilePack.from_file_sets([["a"], ["b", ""]], unit)
+    pack = FilePack.from_file_sets([["a"]], unit)
+    with pytest.raises(ValueError, match="empty file path"):
+        pack.pack_one(["a", ""])
