@@ -67,17 +67,17 @@ def revfinder_recommend(
     """Accrue each past PR's mean path similarity to its reviewers."""
     if not target.files:
         raise HgrecError(f"target PR {target.id!r} has no files")
-    past = [(pr.reviewers(), pr.files) for pr in corpus.prs]
-    past = [(reviewers, files) for reviewers, files in past if reviewers and files]
     scores: dict[str, float] = {}
-    if past:
-        pack = kernels.FilePack.from_file_sets([files for _, files in past], unit)
+    if corpus.prs:
+        # The pack is the corpus's own, built once per fit; PRs without
+        # reviewers get a row entry too but credit nobody.
+        pack = corpus.file_pack(unit)
         t_tokens, t_off = pack.pack_one(target.files)
         means = kernels.mean_similarity_row(
             t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
         )
-        for (reviewers, _), mean in zip(past, means.tolist()):
-            for reviewer in reviewers:
+        for pr, mean in zip(corpus.prs, means.tolist()):
+            for reviewer in pr.reviewers():
                 scores[reviewer] = scores.get(reviewer, 0.0) + mean
     return _ranked(scores, corpus, target, k)
 

@@ -18,18 +18,17 @@ from . import __version__
 from .baselines import RECOMMENDER_LABELS, create_recommender
 from .config import HyperParams, RunConfig
 from .corpus import (
-    check_files,
+    TargetPR,
     clean,
     corpus_from_json,
     corpus_to_json,
     parse_export,
-    parse_timestamp,
+    parse_target,
     sha256_of,
 )
 from .errors import HgrecError
 from .evaluation import RecommenderSpec, run_comparison
 from .hypergraph import graph_to_dict
-from .recommender import TargetPR
 
 
 def _read_lines(path: str) -> list[str]:
@@ -38,15 +37,31 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _load_corpus(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return corpus_from_json(handle.read())
+
+
+def _read_export(path: str, config: RunConfig, skip_invalid: bool = False):
+    """Parse and clean a JSONL export split at LF, CR and CRLF only (not at a
+    U+2028 in a string); return the corpus, its bytes and the skipped lines."""
+    with open(path, "rb") as handle:
+        raw_bytes = handle.read()
+    errors: list = []
+    prs = parse_export(raw_bytes.splitlines(), skip_invalid=skip_invalid, errors=errors)
+    corpus = clean(
+        prs,
+        bot_patterns=_read_lines(config.bots) if config.bots else (),
+        min_reviews=config.min_reviews,
+        exclude_ids=_read_lines(config.exclude) if config.exclude else (),
+    )
+    return corpus, raw_bytes, errors
 
 
 def _merge_config(args) -> RunConfig:
     """File config (when given) overridden by explicitly passed flags."""
     config = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open(args.config, "rb") as handle:
             config = RunConfig.from_json(handle.read())
 
     params = config.params
@@ -210,20 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args) -> int:
-    config = _merge_config(args)
-    with open(args.input, "rb") as handle:
-        raw_bytes = handle.read()
-    errors: list = []
-    prs = parse_export(
-        raw_bytes.decode("utf-8").splitlines(),
-        skip_invalid=args.skip_invalid,
-        errors=errors,
-    )
-    corpus = clean(
-        prs,
-        bot_patterns=_read_lines(config.bots) if config.bots else (),
-        min_reviews=config.min_reviews,
-        exclude_ids=_read_lines(config.exclude) if config.exclude else (),
+    corpus, raw_bytes, errors = _read_export(
+        args.input, _merge_config(args), args.skip_invalid
     )
     artifact = corpus_to_json(corpus, source_sha256=sha256_of(raw_bytes))
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -243,43 +246,24 @@ def cmd_stats(args) -> int:
     if args.corpus:
         corpus = _load_corpus(args.corpus)
     else:
-        config = _merge_config(args)
-        with open(args.input, "r", encoding="utf-8") as handle:
-            prs = parse_export(handle)
-        corpus = clean(
-            prs,
-            bot_patterns=_read_lines(config.bots) if config.bots else (),
-            min_reviews=config.min_reviews,
-            exclude_ids=_read_lines(config.exclude) if config.exclude else (),
-        )
+        corpus, _, _ = _read_export(args.input, _merge_config(args))
     print(json.dumps(corpus.stats(), sort_keys=True))
     return 0
 
 
 def _target_from_args(args) -> TargetPR:
     if args.target:
-        with open(args.target, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        try:
-            files = check_files(obj.get("files"))
-        except ValueError as exc:
-            raise HgrecError(f"target: {exc}") from exc
-        return TargetPR(
-            id=obj.get("id", "target"),
-            contributor=obj["contributor"],
-            created_at=parse_timestamp(obj["created_at"]),
-            files=tuple(files),
-        )
+        with open(args.target, "rb") as handle:
+            return parse_target(handle.read())
     if not (args.files and args.contributor and args.time):
         raise HgrecError("pass --target FILE or all of --files/--contributor/--time")
-    files = tuple(f for f in args.files.split(",") if f)
-    if not files:
-        raise HgrecError("target PR has no files")
-    return TargetPR(
-        id=args.id,
-        contributor=args.contributor,
-        created_at=parse_timestamp(args.time),
-        files=files,
+    return parse_target(
+        {
+            "id": args.id,
+            "contributor": args.contributor,
+            "created_at": args.time,
+            "files": [f for f in args.files.split(",") if f],
+        }
     )
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -13,6 +16,33 @@ SIMILARITY_UNITS = ("components", "chars")
 # Above this vertex count the "auto" solver switches from the direct
 # factorization to the fixed-point iteration.
 DIRECT_SOLVER_MAX_VERTICES = 5000
+
+
+def _has_type(value, hint) -> bool:
+    # An int is a valid float; a bool is neither an int nor a float here.
+    if hint in (int, float):
+        numeric = (int, float) if hint is float else int
+        return isinstance(value, numeric) and not isinstance(value, bool)
+    origin = typing.get_origin(hint)
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arm) for arm in typing.get_args(hint))
+    return isinstance(value, hint)
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _check_types(obj) -> None:
+    """Raise ConfigError naming the first field whose value has the wrong
+    type, before any range check compares it."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _has_type(value, hints[f.name]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,9 +67,10 @@ class HyperParams:
     similarity_unit: str = "components"
 
     def __post_init__(self):
+        _check_types(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 1 <= int(self.top_m) <= 100:
+        if not 1 <= self.top_m <= 100:
             raise ConfigError(f"top_m must be in [1, 100], got {self.top_m}")
         if not 0.0 < self.comment_decay <= 1.0:
             raise ConfigError(
@@ -84,6 +115,7 @@ class RunConfig:
     deterministic: bool = True
 
     def __post_init__(self):
+        _check_types(self)
         if self.min_reviews < 1:
             raise ConfigError(f"min_reviews must be >= 1, got {self.min_reviews}")
         if self.initial_months < 1:
@@ -116,12 +148,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "params" in kwargs and not isinstance(kwargs["params"], HyperParams):
+        if isinstance(kwargs.get("params"), dict):
+            unknown = set(kwargs["params"]) - {f.name for f in fields(HyperParams)}
+            if unknown:
+                raise ConfigError(f"unknown params keys: {sorted(unknown)}")
             kwargs["params"] = HyperParams(**kwargs["params"])
         return cls(**kwargs)
 
@@ -129,8 +166,12 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str | bytes) -> "RunConfig":
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config is not JSON: {exc}") from exc
+        return cls.from_dict(data)
 
     def override(self, **changes) -> "RunConfig":
         """Return a copy with non-None values replaced (CLI-over-file merge)."""

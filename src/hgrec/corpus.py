@@ -18,8 +18,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable
+from typing import Iterable
 
+from . import kernels
 from .errors import EmptyCorpusError, ExportParseError, HgrecError
 
 PR_STATES = ("merged", "closed", "open")
@@ -65,6 +66,17 @@ class PullRequest:
         )
 
 
+@dataclass(frozen=True)
+class TargetPR:
+    id: str
+    contributor: str
+    created_at: int
+    files: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "files", tuple(sorted(set(self.files))))
+
+
 @dataclass
 class ReviewCorpus:
     """Cleaned, chronologically ordered review history.
@@ -80,6 +92,9 @@ class ReviewCorpus:
     developers: dict[str, Developer]
     _comment_counts: dict[str, int] | None = field(
         default=None, repr=False, compare=False
+    )
+    _file_packs: dict[str, kernels.FilePack] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
     def reviewer_ids(self) -> frozenset[str]:
@@ -100,6 +115,14 @@ class ReviewCorpus:
                     counts[c.author] = counts.get(c.author, 0) + 1
             self._comment_counts = counts
         return self._comment_counts
+
+    def file_pack(self, unit: str) -> kernels.FilePack:
+        """Every PR's file set packed in corpus order; memoized per unit."""
+        if unit not in self._file_packs:
+            self._file_packs[unit] = kernels.FilePack.from_file_sets(
+                [pr.files for pr in self.prs], unit
+            )
+        return self._file_packs[unit]
 
     def stats(self) -> dict[str, int]:
         return {
@@ -144,55 +167,54 @@ def format_timestamp(epoch: int) -> str:
     )
 
 
-def check_files(files: object) -> list[str]:
-    """Return ``files`` if it is a list of non-empty path strings, the rule
-    for an export record and for a ``recommend`` target alike; raise
-    ValueError otherwise."""
-    if not isinstance(files, list) or not all(
-        isinstance(f, str) and f for f in files
-    ):
-        raise ValueError("files must be a list of non-empty strings")
-    return files
+def _load_json(data: str | bytes) -> object:
+    """Decode bytes as UTF-8 and parse JSON, raising ValueError on failure."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
 
 
-def _parse_record(obj: dict, line_number: int) -> PullRequest:
+def parse_record(obj: object, query: bool = False) -> PullRequest:
+    """Check one record of an export or, with ``query``, a ``recommend``
+    target, and build it; raise ValueError naming the bad field. A query may
+    leave out ``id`` (``"target"``) and ``state``, and needs a file."""
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    defaults = {"id": "target", "state": "open"} if query else {}
+    obj = {"files": [], "comments": [], **defaults, **obj}
     for key in ("id", "contributor", "created_at", "state"):
         if key not in obj:
-            raise ExportParseError(line_number, f"missing required field {key!r}")
+            raise ValueError(f"missing required field {key!r}")
     if obj["state"] not in PR_STATES:
-        raise ExportParseError(
-            line_number, f"state must be one of {PR_STATES}, got {obj['state']!r}"
-        )
-    if not obj["id"] or not isinstance(obj["id"], str):
-        raise ExportParseError(line_number, "id must be a non-empty string")
-    if not obj["contributor"] or not isinstance(obj["contributor"], str):
-        raise ExportParseError(line_number, "contributor must be a non-empty string")
+        raise ValueError(f"state must be one of {PR_STATES}, got {obj['state']!r}")
+    for key in ("id", "contributor"):
+        if not obj[key] or not isinstance(obj[key], str):
+            raise ValueError(f"{key} must be a non-empty string")
     try:
         created = parse_timestamp(obj["created_at"])
     except (ValueError, TypeError) as exc:
-        raise ExportParseError(line_number, f"bad created_at: {exc}") from exc
-
-    try:
-        files = check_files(obj.get("files", []))
-    except ValueError as exc:
-        raise ExportParseError(line_number, str(exc)) from exc
+        raise ValueError(f"bad created_at: {exc}") from exc
+    files = obj["files"]
+    if not isinstance(files, list) or not all(isinstance(f, str) and f for f in files):
+        raise ValueError("files must be a list of non-empty strings")
+    if query and not files:
+        raise ValueError("files must name at least one path")
+    if not isinstance(obj["comments"], list):
+        raise ValueError("comments must be a list")
 
     comments = []
-    for i, raw in enumerate(obj.get("comments", [])):
+    for i, raw in enumerate(obj["comments"]):
         if not isinstance(raw, dict) or "author" not in raw or "created_at" not in raw:
-            raise ExportParseError(
-                line_number, f"comment {i} must carry author and created_at"
-            )
+            raise ValueError(f"comment {i} must carry author and created_at")
         if not raw["author"] or not isinstance(raw["author"], str):
-            raise ExportParseError(
-                line_number, f"comment {i} author must be a non-empty string"
-            )
+            raise ValueError(f"comment {i} author must be a non-empty string")
         try:
             at = parse_timestamp(raw["created_at"])
         except (ValueError, TypeError) as exc:
-            raise ExportParseError(
-                line_number, f"comment {i} has bad created_at: {exc}"
-            ) from exc
+            raise ValueError(f"comment {i} has bad created_at: {exc}") from exc
         comments.append(ReviewComment(author=raw["author"], created_at=at))
 
     # Ascending time, ties kept in input order.
@@ -208,7 +230,7 @@ def _parse_record(obj: dict, line_number: int) -> PullRequest:
 
 
 def parse_export(
-    stream: IO, skip_invalid: bool = False, errors: list | None = None
+    stream: Iterable, skip_invalid: bool = False, errors: list | None = None
 ) -> list[PullRequest]:
     """Parse a JSONL export into raw PullRequests, preserving input order.
 
@@ -218,24 +240,30 @@ def parse_export(
     """
     prs = []
     for line_number, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        if not line.strip():
-            continue
         try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ExportParseError(line_number, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ExportParseError(line_number, "line is not a JSON object")
-            prs.append(_parse_record(obj, line_number))
-        except ExportParseError as exc:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            prs.append(parse_record(_load_json(line)))
+        except ValueError as exc:
+            error = ExportParseError(line_number, str(exc))
             if errors is not None:
-                errors.append(exc)
+                errors.append(error)
             if not skip_invalid:
-                raise
+                raise error from exc
     return prs
+
+
+def parse_target(data: bytes | dict) -> TargetPR:
+    """The PR to recommend reviewers for, from the bytes of a ``--target``
+    file or from the record the command-line flags assemble."""
+    try:
+        obj = data if isinstance(data, dict) else _load_json(data)
+        pr = parse_record(obj, query=True)
+    except ValueError as exc:
+        raise HgrecError(f"target: {exc}") from exc
+    return TargetPR(pr.id, pr.contributor, pr.created_at, pr.files)
 
 
 def _referenced_ids(prs: Iterable[PullRequest]) -> set[str]:
@@ -359,35 +387,38 @@ def corpus_to_json(corpus: ReviewCorpus, source_sha256: str | None = None) -> st
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def corpus_from_json(text: str) -> ReviewCorpus:
-    payload = json.loads(text)
-    if payload.get("format") != ARTIFACT_FORMAT:
-        raise EmptyCorpusError(
-            f"not a corpus artifact (format={payload.get('format')!r})"
+def corpus_from_json(text: str | bytes) -> ReviewCorpus:
+    try:
+        payload = _load_json(text)
+        if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
+            raise ValueError(f"not an {ARTIFACT_FORMAT} document")
+        prs = [
+            PullRequest(
+                id=rec["id"],
+                contributor=rec["contributor"],
+                created_at=rec["created_at"],
+                files=tuple(rec["files"]),
+                comments=tuple(
+                    ReviewComment(c["author"], c["created_at"]) for c in rec["comments"]
+                ),
+                state=rec["state"],
+            )
+            for rec in payload["prs"]
+        ]
+        developers = {
+            d["id"]: Developer(id=d["id"], is_bot=d["is_bot"])
+            for d in payload["developers"]
+        }
+        return ReviewCorpus(
+            prs=prs,
+            t_start=payload["t_start"],
+            t_end=payload["t_end"],
+            developers=developers,
         )
-    prs = [
-        PullRequest(
-            id=rec["id"],
-            contributor=rec["contributor"],
-            created_at=rec["created_at"],
-            files=tuple(rec["files"]),
-            comments=tuple(
-                ReviewComment(c["author"], c["created_at"]) for c in rec["comments"]
-            ),
-            state=rec["state"],
-        )
-        for rec in payload["prs"]
-    ]
-    developers = {
-        d["id"]: Developer(id=d["id"], is_bot=d["is_bot"])
-        for d in payload["developers"]
-    }
-    return ReviewCorpus(
-        prs=prs,
-        t_start=payload["t_start"],
-        t_end=payload["t_end"],
-        developers=developers,
-    )
+    except KeyError as exc:
+        raise HgrecError(f"corpus artifact: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise HgrecError(f"corpus artifact: {exc}") from exc
 
 
 def sha256_of(data: bytes) -> str:

@@ -265,7 +265,9 @@ def _evaluate_round(
     round_: EvaluationRound,
     specs: Sequence[RecommenderSpec],
     max_k: int,
-) -> dict[str, list[PRRecord]]:
+) -> tuple[dict[str, list[PRRecord]], int]:
+    """Each recommender's records for one round, and the number of reviewers
+    in the round's training window."""
     train = corpus.slice_until(round_.train_cut)
     out: dict[str, list[PRRecord]] = {}
     for spec in specs:
@@ -279,7 +281,7 @@ def _evaluate_round(
             )
             for target, truth in round_.tests
         ]
-    return out
+    return out, len(train.reviewer_ids())
 
 
 def run_comparison(
@@ -318,7 +320,7 @@ def run_comparison(
     global_n = len(corpus.reviewer_ids())
     rows: list[MetricRow] = []
     records: dict[tuple[str, int], list[PRRecord]] = {
-        (label, r.index): per_round[i][label]
+        (label, r.index): per_round[i][0][label]
         for i, r in enumerate(rounds)
         for label in labels
     }
@@ -331,13 +333,10 @@ def run_comparison(
     for i, round_ in enumerate(rounds):
         if not round_.tests:
             continue
-        if rd_scope == "global":
-            n_reviewers = global_n
-        else:
-            n_reviewers = len(corpus.slice_until(round_.train_cut).reviewer_ids())
-        n_reviewers = max(2, n_reviewers)
+        round_records, round_n = per_round[i]
+        n_reviewers = max(2, global_n if rd_scope == "global" else round_n)
         for label in labels:
-            recs = per_round[i][label]
+            recs = round_records[label]
             for k in ks:
                 row = MetricRow(
                     recommender=label,

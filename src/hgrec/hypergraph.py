@@ -303,9 +303,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     # Pairwise PR links: evaluate every pair once per endpoint, keep an edge
     # when either endpoint ranks it within its own top-m, dedup to one edge
     # per unordered pair. Zero-weight pairs are never materialized.
-    pack = kernels.FilePack.from_file_sets(
-        [pr.files for pr in corpus.prs], params.similarity_unit
-    )
+    pack = corpus.file_pack(params.similarity_unit)
     times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
     span = _span(t_start, t_end)
     order_rank = _chronology_rank(corpus.prs)

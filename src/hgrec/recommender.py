@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ranker
 from .config import HyperParams
-from .corpus import ReviewCorpus
+from .corpus import ReviewCorpus, TargetPR
 from .errors import HgrecError
 from .hypergraph import (
     EdgeKind,
@@ -32,17 +32,6 @@ from .hypergraph import (
     _span,
     _top_partners,
 )
-
-
-@dataclass(frozen=True)
-class TargetPR:
-    id: str
-    contributor: str
-    created_at: int
-    files: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "files", tuple(sorted(set(self.files))))
 
 
 @dataclass

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hgrec import kernels
 from hgrec.baselines import (
     ac_recommend,
     chrev_recommend,
@@ -107,6 +108,25 @@ class TestRevfinder:
         # components shared)
         result = revfinder_recommend(corpus, target(files=("src/a.c",)), k=1)
         assert dict(result.candidates)["rex"] == pytest.approx(1.0 + 1 / 2)
+
+    def test_corpus_packed_once_per_fit(self, monkeypatch):
+        packed = []
+        pack = kernels.FilePack.from_file_sets
+        monkeypatch.setattr(
+            kernels.FilePack, "from_file_sets",
+            staticmethod(lambda sets, unit: packed.append(unit) or pack(sets, unit)),
+        )
+        corpus = make_corpus([
+            make_pr("p1", "ann", T0, ["src/a.c"], comments=[("rex", T0 + DAY)]),
+            make_pr("p2", "bo", T0 + DAY, ["src/b.c"], comments=[("sue", T0 + DAY)]),
+            make_pr("p3", "ann", T0 + 2 * DAY, ["docs/x.md"]),
+        ])
+        revfinder = create_recommender("revfinder").fit(corpus)
+        hgrec = create_recommender("hgrec").fit(corpus)
+        for files in (["src/a.c"], ["src/b.c", "lib/c.c"], ["docs/x.md"]):
+            revfinder.recommend(target("cy", files), 2)
+            hgrec.recommend(target("cy", files), 2)
+        assert packed == ["components"]
 
     @pytest.mark.parametrize("unit", ["components", "chars"])
     def test_scores_equal_scalar_double_loop(self, unit):

@@ -83,8 +83,9 @@ class TestIngest:
             lambda obj: obj.update(created_at=1577836800),
             lambda obj: obj["comments"][0].update(created_at=1577836800),
             lambda obj: obj["comments"][0].update(author=42),
+            lambda obj: obj.update(comments={}),
         ],
-        ids=["pr-created-at", "comment-created-at", "comment-author"],
+        ids=["pr-created-at", "comment-created-at", "comment-author", "comments-dict"],
     )
     def test_mistyped_field_exits_2_with_line(self, tmp_path, capsys, corrupt):
         rows = FIXTURE.read_text().splitlines()
@@ -107,6 +108,31 @@ class TestIngest:
         code = main(["ingest", "--input", str(src), "--output", str(tmp_path / "o.json")])
         assert code == 2
         assert "line 5" in capsys.readouterr().err
+
+    def test_non_utf8_line_exits_2_with_line(self, tmp_path, capsys):
+        rows = FIXTURE.read_bytes().splitlines()
+        rows[3] = rows[3][:20] + b"\xff" + rows[3][20:]
+        src = tmp_path / "latin.jsonl"
+        src.write_bytes(b"\n".join(rows) + b"\n")
+        code = main(["ingest", "--input", str(src), "--output", str(tmp_path / "o.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 4:")
+
+    def test_u2028_inside_a_path_is_one_line(self, tmp_path, capsys):
+        rows = FIXTURE.read_text().splitlines()
+        obj = json.loads(rows[3])
+        obj["files"].append("src/odd\u2028name.c")
+        rows[3] = json.dumps(obj, ensure_ascii=False)
+        src = tmp_path / "u2028.jsonl"
+        src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert main(["ingest", "--input", str(src), "--output", str(out)]) == 0
+        ingested = json.loads(capsys.readouterr().out)
+        assert main(["stats", "--input", str(src)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats == {k: ingested[k] for k in stats}
+        artifact = json.loads(out.read_text())
+        assert any("src/odd\u2028name.c" in pr["files"] for pr in artifact["prs"])
 
     def test_stats_match_independent_recount(self, capsys, tmp_path, bots_file):
         """Recount the cleaned corpus with naive, separate bookkeeping."""
@@ -151,6 +177,24 @@ class TestStats:
         assert main(["stats"]) == 2
         assert main(["stats", "--corpus", corpus_artifact,
                      "--input", str(FIXTURE)]) == 2
+
+    @pytest.mark.parametrize(
+        "text", ["not json", json.dumps({"format": "hgrec-corpus-v1"})],
+        ids=["not-json", "no-prs"],
+    )
+    def test_malformed_artifact_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "corpus.json"
+        path.write_text(text)
+        assert main(["stats", "--corpus", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: corpus artifact:")
+
+
+GOOD_TARGET = {
+    "id": "incoming",
+    "contributor": "eve",
+    "created_at": "2020-08-01T00:00:00Z",
+    "files": ["src/net/udp.c", "src/net/tcp.c"],
+}
 
 
 class TestRecommend:
@@ -205,6 +249,48 @@ class TestRecommend:
                      "--target", str(target)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["target"] == "incoming"
+
+    def test_target_file_and_flags_print_same_bytes(self, corpus_artifact, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(GOOD_TARGET))
+        assert main(["recommend", "--corpus", corpus_artifact, "--target", str(target)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(
+            ["recommend", "--corpus", corpus_artifact, "--id", "incoming",
+             "--files", "src/net/udp.c,src/net/tcp.c", "--contributor", "eve",
+             "--time", "2020-08-01T00:00:00Z"]
+        ) == 0
+        assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({**GOOD_TARGET, "created_at": 1596240000}),
+            json.dumps({k: v for k, v in GOOD_TARGET.items() if k != "contributor"}),
+            json.dumps([GOOD_TARGET]),
+            "{not json",
+            json.dumps({**GOOD_TARGET, "contributor": 7}),
+            json.dumps({**GOOD_TARGET, "contributor": ""}),
+            json.dumps({**GOOD_TARGET, "id": 5}),
+            json.dumps({**GOOD_TARGET, "id": ""}),
+        ],
+        ids=["numeric-time", "no-contributor", "list", "invalid-json",
+             "contributor-int", "contributor-empty", "id-int", "id-empty"],
+    )
+    def test_malformed_target_file_exits_2(self, corpus_artifact, capsys, tmp_path, text):
+        target = tmp_path / "target.json"
+        target.write_text(text)
+        code = main(["recommend", "--corpus", corpus_artifact, "--target", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: target:")
+
+    def test_malformed_time_flag_exits_2(self, corpus_artifact, capsys):
+        code = main(
+            ["recommend", "--corpus", corpus_artifact, "--files", "src/net/tcp.c",
+             "--contributor", "eve", "--time", "12"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: target: bad created_at")
 
     @pytest.mark.parametrize("files", ["src/net/udp.c", [1], [""], None])
     def test_target_file_bad_files_exits_2(self, corpus_artifact, capsys, tmp_path, files):
@@ -343,6 +429,28 @@ class TestConfig:
              "--contributor", "eve", "--time", "2020-08-01T00:00:00Z"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{", "config is not JSON"),
+            ('{"params": {"alpha": "x"}}', "alpha"),
+            ('{"ks": "5"}', "ks"),
+            ('{"params": {"bogus": 1}}', "bogus"),
+        ],
+        ids=["not-json", "alpha-string", "ks-string", "unknown-param"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, corpus_artifact, capsys, text, field):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(
+            ["recommend", "--corpus", corpus_artifact, "--config", str(path),
+             "--files", "src/net/tcp.c", "--contributor", "eve",
+             "--time", "2020-08-01T00:00:00Z"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -6,14 +6,16 @@ import json
 import pytest
 
 from hgrec.corpus import (
+    TargetPR,
     clean,
     corpus_from_json,
     corpus_to_json,
     parse_export,
+    parse_target,
     parse_timestamp,
     reviewer_sets,
 )
-from hgrec.errors import EmptyCorpusError, ExportParseError
+from hgrec.errors import EmptyCorpusError, ExportParseError, HgrecError
 
 from conftest import DAY, make_pr
 
@@ -123,6 +125,69 @@ class TestParseExport:
             parse_export(io.StringIO(line() + "\n" + json.dumps(obj)))
         assert err.value.line_number == 2
         assert "files" in str(err.value)
+
+    @pytest.mark.parametrize("comments", [{}, {"bob": "2020-01-02T00:00:00Z"}, "bob", None])
+    def test_comments_not_a_list_names_line(self, comments):
+        obj = json.loads(line())
+        obj["comments"] = comments
+        with pytest.raises(ExportParseError) as err:
+            parse_export(io.StringIO(line() + "\n" + json.dumps(obj)))
+        assert err.value.line_number == 2
+        assert "comments must be a list" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bad", [b"\xff" + line().encode(), b"[" * 100_000, b"[1, 2]", b"{"],
+        ids=["not-utf8", "nested-too-deep", "not-an-object", "invalid-json"],
+    )
+    def test_bad_bytes_line_names_line(self, bad):
+        with pytest.raises(ExportParseError) as err:
+            parse_export([line().encode(), b"", bad])
+        assert err.value.line_number == 3
+
+    def test_bytes_lines_keep_u2028_inside_a_path(self):
+        obj = json.loads(line(files=("src/odd\u2028name.c",)))
+        raw = json.dumps(obj, ensure_ascii=False).encode()
+        (pr,) = parse_export(raw.splitlines())
+        assert pr.files == ("src/odd\u2028name.c",)
+
+
+class TestParseTarget:
+    def test_defaults_id_and_needs_no_state_or_comments(self):
+        got = parse_target(
+            {"contributor": "eve", "created_at": "2020-01-01T00:00:00Z",
+             "files": ["b.c", "a.c", "a.c"]}
+        )
+        assert got == TargetPR("target", "eve", T0, ("a.c", "b.c"))
+
+    def test_export_line_is_a_valid_target(self):
+        got = parse_target(line(comments=[("bob", "2020-01-02T00:00:00Z")]).encode())
+        assert got == TargetPR("pr1", "alice", T0, ("src/a.c",))
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            (b"{not json", "invalid JSON"),
+            (b"\xff{}", "utf-8"),
+            (b"[]", "not a JSON object"),
+            ({"created_at": "2020-01-01T00:00:00Z", "files": ["a.c"]}, "contributor"),
+            ({"contributor": "eve", "created_at": 1577836800, "files": ["a.c"]}, "created_at"),
+            ({"contributor": "eve", "created_at": "12", "files": ["a.c"]}, "created_at"),
+            ({"contributor": 7, "created_at": "2020-01-01T00:00:00Z", "files": ["a.c"]},
+             "contributor"),
+            ({"id": "", "contributor": "eve", "created_at": "2020-01-01T00:00:00Z",
+              "files": ["a.c"]}, "id"),
+            ({"contributor": "eve", "created_at": "2020-01-01T00:00:00Z"}, "files"),
+            ({"contributor": "eve", "created_at": "2020-01-01T00:00:00Z", "files": []},
+             "files"),
+            ({"contributor": "eve", "created_at": "2020-01-01T00:00:00Z", "files": ["a.c"],
+              "state": "draft"}, "state"),
+        ],
+    )
+    def test_bad_target_names_field(self, data, field):
+        with pytest.raises(HgrecError) as err:
+            parse_target(data)
+        assert str(err.value).startswith("target: ")
+        assert field in str(err.value)
 
 
 class TestClean:
@@ -253,6 +318,14 @@ class TestArtifact:
         assert loaded.prs == corpus.prs
         assert (loaded.t_start, loaded.t_end) == (corpus.t_start, corpus.t_end)
         assert corpus_to_json(loaded, source_sha256="x" * 64) == text
+
+    @pytest.mark.parametrize(
+        "text", ["nope", b"\xff", "[]", '{"format": "other"}', '{"format": "hgrec-corpus-v1"}'],
+    )
+    def test_malformed_artifact_names_it(self, text):
+        with pytest.raises(HgrecError) as err:
+            corpus_from_json(text)
+        assert str(err.value).startswith("corpus artifact: ")
 
     def test_slice_until_truncates_comments(self):
         corpus = clean(

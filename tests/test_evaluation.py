@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hgrec.corpus import parse_timestamp
+from hgrec.corpus import ReviewCorpus, parse_timestamp
 from hgrec.errors import CorpusSpanError, UndefinedMetricError
 from hgrec.evaluation import (
     PRRecord,
@@ -275,6 +275,20 @@ class TestRunComparison:
         parallel = run_comparison(corpus, specs, ks=(1, 3), jobs=4)
         assert serial.to_csv_text() == parallel.to_csv_text()
         assert serial.to_json_text() == parallel.to_json_text()
+
+    def test_one_training_slice_per_round(self, monkeypatch):
+        cuts = []
+        slice_until = ReviewCorpus.slice_until
+        monkeypatch.setattr(
+            ReviewCorpus, "slice_until",
+            lambda corpus, cut: cuts.append(cut) or slice_until(corpus, cut),
+        )
+        report = run_comparison(
+            monthly_corpus(16),
+            [RecommenderSpec("const", lambda: _ConstantRecommender(["rex", "sue"]))],
+            ks=(1, 3),
+        )
+        assert cuts == [r.train_cut for r in report.rounds]
 
     def test_csv_shape_and_formatting(self):
         corpus = monthly_corpus(14)
