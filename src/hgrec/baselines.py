@@ -13,8 +13,9 @@ only from the fields this corpus carries; the evaluation labels them with an
   CN-s         comment network: decayed interaction strength between each
                reviewer and the target's contributor, both directions.
 
-All four are pure functions of (training corpus, target, k), exclude the
-target's contributor, and break score ties by historical comment count
+All four are pure functions of (training corpus, target, k) and rank their
+scores with ``recommender.rank_developers``, hgrec's own rule: the target's
+contributor is excluded and score ties are broken by historical comment count
 (more first) then lexicographic id.
 """
 
@@ -25,23 +26,14 @@ from .config import HyperParams
 from .corpus import ReviewCorpus
 from .errors import HgrecError
 from .hypergraph import _span
-from .recommender import HypergraphRecommender, Recommendation, TargetPR
+from .recommender import (
+    HypergraphRecommender,
+    Recommendation,
+    TargetPR,
+    rank_developers,
+)
 
 DAY_SECONDS = 86400
-
-
-def _ranked(
-    scores: dict[str, float], corpus: ReviewCorpus, target: TargetPR, k: int
-) -> Recommendation:
-    counts = corpus.comment_counts()
-    rows = [
-        (dev, float(score))
-        for dev, score in scores.items()
-        if dev != target.contributor
-        and not (dev in corpus.developers and corpus.developers[dev].is_bot)
-    ]
-    rows.sort(key=lambda row: (-row[1], -counts.get(row[0], 0), row[0]))
-    return Recommendation(target=target.id, k=k, candidates=rows[:k])
 
 
 def ac_recommend(
@@ -58,7 +50,7 @@ def ac_recommend(
                 continue
             if comment.created_at >= horizon:
                 scores[comment.author] = scores.get(comment.author, 0.0) + 1.0
-    return _ranked(scores, corpus, target, k)
+    return rank_developers(scores.items(), corpus.comment_counts(), target, k)
 
 
 def revfinder_recommend(
@@ -79,7 +71,7 @@ def revfinder_recommend(
         for pr, mean in zip(corpus.prs, means.tolist()):
             for reviewer in pr.reviewers():
                 scores[reviewer] = scores.get(reviewer, 0.0) + mean
-    return _ranked(scores, corpus, target, k)
+    return rank_developers(scores.items(), corpus.comment_counts(), target, k)
 
 
 def chrev_recommend(corpus: ReviewCorpus, target: TargetPR, k: int) -> Recommendation:
@@ -113,7 +105,7 @@ def chrev_recommend(corpus: ReviewCorpus, target: TargetPR, k: int) -> Recommend
                 (last_at[reviewer] - corpus.t_start) / span if span else 1.0
             )
             scores[reviewer] = scores.get(reviewer, 0.0) + count / total + recency
-    return _ranked(scores, corpus, target, k)
+    return rank_developers(scores.items(), corpus.comment_counts(), target, k)
 
 
 def cn_recommend(
@@ -121,36 +113,32 @@ def cn_recommend(
 ) -> Recommendation:
     """Decayed comment-network strength with the target's contributor.
 
-    Directed interactions reviewer -> author are sorted most recent first;
-    the i-th contributes decay**i. A candidate's score adds both directions
-    between them and the target's contributor.
+    The i-th of n directed interactions reviewer -> author contributes
+    decay**i. A candidate's score adds both directions between them and the
+    target's contributor.
     """
     if not 0.0 < decay <= 1.0:
         raise HgrecError(f"decay must be in (0, 1], got {decay}")
-    interactions: dict[tuple[str, str], list[int]] = {}
+    contributor = target.contributor
+    received: dict[str, int] = {}  # a developer's comments on the contributor's PRs
+    given: dict[str, int] = {}  # the contributor's comments on a developer's PRs
     for pr in corpus.prs:
         for comment in pr.comments:
             if comment.author == pr.contributor:
                 continue
-            key = (comment.author, pr.contributor)
-            interactions.setdefault(key, []).append(comment.created_at)
+            if pr.contributor == contributor:
+                received[comment.author] = received.get(comment.author, 0) + 1
+            elif comment.author == contributor:
+                given[pr.contributor] = given.get(pr.contributor, 0) + 1
 
-    def strength(commenter: str, author: str) -> float:
-        stamps = interactions.get((commenter, author))
-        if not stamps:
-            return 0.0
-        stamps = sorted(stamps, reverse=True)
-        return sum(decay**i for i in range(len(stamps)))
+    def strength(n: int) -> float:
+        return sum(decay**i for i in range(n))
 
-    everyone = set(corpus.developers)
-    scores: dict[str, float] = {}
-    for dev in everyone:
-        if dev == target.contributor:
-            continue
-        score = strength(dev, target.contributor) + strength(target.contributor, dev)
-        if score > 0.0:
-            scores[dev] = score
-    return _ranked(scores, corpus, target, k)
+    scores = {
+        dev: strength(received.get(dev, 0)) + strength(given.get(dev, 0))
+        for dev in received.keys() | given.keys()
+    }
+    return rank_developers(scores.items(), corpus.comment_counts(), target, k)
 
 
 # ---------------------------------------------------------------------------

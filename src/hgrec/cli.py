@@ -26,7 +26,7 @@ from .corpus import (
     parse_target,
     sha256_of,
 )
-from .errors import HgrecError
+from .errors import ConfigError, HgrecError
 from .evaluation import RecommenderSpec, run_comparison
 from .hypergraph import graph_to_dict
 
@@ -55,6 +55,13 @@ def _read_export(path: str, config: RunConfig, skip_invalid: bool = False):
         exclude_ids=_read_lines(config.exclude) if config.exclude else (),
     )
     return corpus, raw_bytes, errors
+
+
+def _parse_ks(text: str) -> list[int]:
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"ks must be comma-separated integers, got {text!r}") from exc
 
 
 def _merge_config(args) -> RunConfig:
@@ -88,11 +95,7 @@ def _merge_config(args) -> RunConfig:
         exclude=getattr(args, "exclude", None),
         min_reviews=getattr(args, "min_reviews", None),
         recommenders=recommenders.split(",") if recommenders else None,
-        ks=(
-            [int(k) for k in args.ks.split(",")]
-            if getattr(args, "ks", None)
-            else None
-        ),
+        ks=_parse_ks(args.ks) if getattr(args, "ks", None) else None,
         initial_months=getattr(args, "initial_months", None),
         max_rounds=getattr(args, "max_rounds", None),
         output_dir=getattr(args, "output_dir", None),

@@ -18,18 +18,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import kernels
 from .errors import EmptyCorpusError, ExportParseError, HgrecError
 
 PR_STATES = ("merged", "closed", "open")
-
-
-@dataclass(frozen=True)
-class Developer:
-    id: str
-    is_bot: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,6 @@ class ReviewCorpus:
     prs: list[PullRequest]
     t_start: int
     t_end: int
-    developers: dict[str, Developer]
     _comment_counts: dict[str, int] | None = field(
         default=None, repr=False, compare=False
     )
@@ -98,10 +91,12 @@ class ReviewCorpus:
     )
 
     def reviewer_ids(self) -> frozenset[str]:
-        out: set[str] = set()
-        for pr in self.prs:
-            out |= pr.reviewers()
-        return frozenset(out)
+        return frozenset(
+            c.author
+            for pr in self.prs
+            for c in pr.comments
+            if c.author != pr.contributor
+        )
 
     def contributor_ids(self) -> frozenset[str]:
         return frozenset(pr.contributor for pr in self.prs)
@@ -136,13 +131,7 @@ class ReviewCorpus:
         """Training window [t_start, cut): PRs created before the cut with
         comments truncated at the cut, so nothing at or past it leaks in."""
         kept = [pr.truncated(cut) for pr in self.prs if pr.created_at < cut]
-        referenced = _referenced_ids(kept)
-        return ReviewCorpus(
-            prs=kept,
-            t_start=self.t_start,
-            t_end=cut,
-            developers={d: self.developers[d] for d in sorted(referenced)},
-        )
+        return ReviewCorpus(prs=kept, t_start=self.t_start, t_end=cut)
 
 
 def parse_timestamp(text: str) -> int:
@@ -177,10 +166,16 @@ def _load_json(data: str | bytes) -> object:
         raise ValueError(f"invalid JSON: {exc}") from exc
 
 
-def parse_record(obj: object, query: bool = False) -> PullRequest:
+def parse_record(
+    obj: object,
+    query: bool = False,
+    timestamp: Callable[[object], int] = parse_timestamp,
+) -> PullRequest:
     """Check one record of an export or, with ``query``, a ``recommend``
     target, and build it; raise ValueError naming the bad field. A query may
-    leave out ``id`` (``"target"``) and ``state``, and needs a file."""
+    leave out ``id`` (``"target"``) and ``state``, and needs a file.
+    ``timestamp`` converts a time field, raising ValueError or TypeError; the
+    corpus artifact stores epoch seconds where an export has RFC 3339."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     defaults = {"id": "target", "state": "open"} if query else {}
@@ -194,7 +189,7 @@ def parse_record(obj: object, query: bool = False) -> PullRequest:
         if not obj[key] or not isinstance(obj[key], str):
             raise ValueError(f"{key} must be a non-empty string")
     try:
-        created = parse_timestamp(obj["created_at"])
+        created = timestamp(obj["created_at"])
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad created_at: {exc}") from exc
     files = obj["files"]
@@ -212,7 +207,7 @@ def parse_record(obj: object, query: bool = False) -> PullRequest:
         if not raw["author"] or not isinstance(raw["author"], str):
             raise ValueError(f"comment {i} author must be a non-empty string")
         try:
-            at = parse_timestamp(raw["created_at"])
+            at = timestamp(raw["created_at"])
         except (ValueError, TypeError) as exc:
             raise ValueError(f"comment {i} has bad created_at: {exc}") from exc
         comments.append(ReviewComment(author=raw["author"], created_at=at))
@@ -264,14 +259,6 @@ def parse_target(data: bytes | dict) -> TargetPR:
     except ValueError as exc:
         raise HgrecError(f"target: {exc}") from exc
     return TargetPR(pr.id, pr.contributor, pr.created_at, pr.files)
-
-
-def _referenced_ids(prs: Iterable[PullRequest]) -> set[str]:
-    ids: set[str] = set()
-    for pr in prs:
-        ids.add(pr.contributor)
-        ids.update(c.author for c in pr.comments)
-    return ids
 
 
 def clean(
@@ -338,13 +325,7 @@ def clean(
     cleaned.sort(key=lambda pr: pr.created_at)
     stamps = [pr.created_at for pr in cleaned]
     stamps.extend(c.created_at for pr in cleaned for c in pr.comments)
-    referenced = _referenced_ids(cleaned)
-    return ReviewCorpus(
-        prs=cleaned,
-        t_start=min(stamps),
-        t_end=max(stamps),
-        developers={d: Developer(id=d) for d in sorted(referenced)},
-    )
+    return ReviewCorpus(prs=cleaned, t_start=min(stamps), t_end=max(stamps))
 
 
 def reviewer_sets(corpus: ReviewCorpus) -> dict[str, frozenset[str]]:
@@ -365,10 +346,6 @@ def corpus_to_json(corpus: ReviewCorpus, source_sha256: str | None = None) -> st
         "t_start": corpus.t_start,
         "t_end": corpus.t_end,
         "stats": corpus.stats(),
-        "developers": [
-            {"id": d.id, "is_bot": d.is_bot}
-            for d in sorted(corpus.developers.values(), key=lambda d: d.id)
-        ],
         "prs": [
             {
                 "id": pr.id,
@@ -387,37 +364,40 @@ def corpus_to_json(corpus: ReviewCorpus, source_sha256: str | None = None) -> st
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _epoch_seconds(value: object) -> int:
+    """A time field of the corpus artifact: an integer, not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"expected integer epoch seconds, got {value!r}")
+    return value
+
+
 def corpus_from_json(text: str | bytes) -> ReviewCorpus:
+    """Load a corpus artifact, checking every PR with the export's field rules
+    (times as integers); keys it does not read, such as the ``developers``
+    list of older artifacts, are ignored."""
     try:
         payload = _load_json(text)
         if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
             raise ValueError(f"not an {ARTIFACT_FORMAT} document")
-        prs = [
-            PullRequest(
-                id=rec["id"],
-                contributor=rec["contributor"],
-                created_at=rec["created_at"],
-                files=tuple(rec["files"]),
-                comments=tuple(
-                    ReviewComment(c["author"], c["created_at"]) for c in rec["comments"]
-                ),
-                state=rec["state"],
-            )
-            for rec in payload["prs"]
-        ]
-        developers = {
-            d["id"]: Developer(id=d["id"], is_bot=d["is_bot"])
-            for d in payload["developers"]
-        }
-        return ReviewCorpus(
-            prs=prs,
-            t_start=payload["t_start"],
-            t_end=payload["t_end"],
-            developers=developers,
-        )
+        for key in ("t_start", "t_end"):
+            try:
+                _epoch_seconds(payload[key])
+            except ValueError as exc:
+                raise ValueError(f"bad {key}: {exc}") from exc
+        if not isinstance(payload["prs"], list):
+            raise ValueError("prs must be a list")
+        prs = []
+        for i, rec in enumerate(payload["prs"]):
+            try:
+                prs.append(parse_record(rec, timestamp=_epoch_seconds))
+                if not prs[-1].files:  # clean() keeps only PRs with files
+                    raise ValueError("files must name at least one path")
+            except ValueError as exc:
+                raise ValueError(f"pr {i}: {exc}") from exc
+        return ReviewCorpus(prs=prs, t_start=payload["t_start"], t_end=payload["t_end"])
     except KeyError as exc:
         raise HgrecError(f"corpus artifact: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise HgrecError(f"corpus artifact: {exc}") from exc
 
 

@@ -6,13 +6,14 @@ candidate developers. A recommendation never mutates that state: the target
 PR (and its contributor, when new) is added to a shallow overlay copy,
 connected by one contributor edge plus its top-m strongest similar-PR edges;
 the base system is bordered with those appended vertices and edges and
-solved. Candidates are the developer vertices minus the target's contributor
-and any bot accounts.
+solved. The developer vertices are ranked by ``rank_developers``, the one
+ranking rule every recommender shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -50,23 +51,16 @@ class Recommendation:
 
 
 @dataclass(frozen=True)
-class Candidates:
-    """Non-bot developer vertices sorted by id, with their historical comment
-    counts: the rows rank_developers orders."""
-
-    ids: tuple[str, ...]
-    vertices: np.ndarray
-    counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class FitState:
     """Everything a query reads and none changes: the base graph, its ranking
-    system with a fill-reducing elimination order, and the candidates."""
+    system with a fill-reducing elimination order, the developer vertices
+    (ids and indices) and the corpus's historical comment counts."""
 
     graph: Hypergraph
     system: ranker.RankingSystem
-    candidates: Candidates
+    developer_ids: tuple[str, ...]
+    developer_vertices: np.ndarray
+    comment_counts: dict[str, int]
 
 
 def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitState:
@@ -78,19 +72,14 @@ def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitS
     system = ranker.assemble(base, params.alpha)
     if ranker.uses_direct(params, base.n_vertices):
         ranker.ordered_matrix(system)
-    counts = corpus.comment_counts()
-    rows = sorted(
-        (v.ref, v.index)
-        for v in base.vertices
-        if v.kind is VertexKind.DEVELOPER
-        and not (v.ref in corpus.developers and corpus.developers[v.ref].is_bot)
+    developers = [v for v in base.vertices if v.kind is VertexKind.DEVELOPER]
+    return FitState(
+        graph=base,
+        system=system,
+        developer_ids=tuple(v.ref for v in developers),
+        developer_vertices=np.asarray([v.index for v in developers], dtype=np.int64),
+        comment_counts=corpus.comment_counts(),
     )
-    candidates = Candidates(
-        ids=tuple(ref for ref, _ in rows),
-        vertices=np.asarray([index for _, index in rows], dtype=np.int64),
-        counts=np.asarray([counts.get(ref, 0) for ref, _ in rows], dtype=np.int64),
-    )
-    return FitState(graph=base, system=system, candidates=candidates)
 
 
 def graft(state: FitState, target: TargetPR) -> Hypergraph:
@@ -179,15 +168,18 @@ def query_vector(graph: Hypergraph, target: TargetPR) -> np.ndarray:
 
 
 def rank_developers(
-    scores: np.ndarray, candidates: Candidates, exclude: frozenset[str]
-) -> list[tuple[str, float]]:
-    """Candidates sorted by score, ties broken by historical comment count
-    (more first) then id; ``exclude`` is dropped."""
-    values = scores[candidates.vertices]
-    by_id = np.arange(len(values))
-    order = np.lexsort((by_id, -candidates.counts, -values))
-    ids = candidates.ids
-    return [(ids[i], float(values[i])) for i in order if ids[i] not in exclude]
+    scores: Iterable[tuple[str, float]],
+    counts: Mapping[str, int],
+    target: TargetPR,
+    k: int,
+) -> Recommendation:
+    """The ranking rule of every recommender, over (developer, score) pairs
+    with distinct developers: the target's contributor is dropped, the rest
+    sorted by score, ties broken by historical comment count (more first)
+    then id, and the first ``k`` kept."""
+    rows = [(dev, float(score)) for dev, score in scores if dev != target.contributor]
+    rows.sort(key=lambda row: (-row[1], -counts.get(row[0], 0), row[0]))
+    return Recommendation(target=target.id, k=k, candidates=rows[:k])
 
 
 def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
@@ -199,10 +191,8 @@ def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
     graph = graft(state, target)
     system = ranker.assemble(graph, params.alpha, base=state.system)
     scores = ranker.solve(system, query_vector(graph, target), params)
-    ranked = rank_developers(
-        scores, state.candidates, exclude=frozenset({target.contributor})
-    )
-    return Recommendation(target=target.id, k=k, candidates=ranked[:k])
+    scored = zip(state.developer_ids, scores[state.developer_vertices])
+    return rank_developers(scored, state.comment_counts, target, k)
 
 
 def recommend(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hgrec.config import HyperParams
-from hgrec.corpus import Developer, PullRequest, ReviewComment, ReviewCorpus
+from hgrec.corpus import PullRequest, ReviewComment, ReviewCorpus
 from hgrec.hypergraph import EdgeKind, Hyperedge, Hypergraph, Vertex, VertexKind
 
 DAY = 86400
@@ -39,13 +39,10 @@ def make_corpus(prs, t_start=None, t_end=None):
     """Corpus straight from already-clean PRs (no cleaning pass)."""
     stamps = [pr.created_at for pr in prs]
     stamps += [c.created_at for pr in prs for c in pr.comments]
-    referenced = {pr.contributor for pr in prs}
-    referenced |= {c.author for pr in prs for c in pr.comments}
     return ReviewCorpus(
         prs=sorted(prs, key=lambda pr: pr.created_at),
         t_start=min(stamps) if t_start is None else t_start,
         t_end=max(stamps) if t_end is None else t_end,
-        developers={d: Developer(id=d) for d in sorted(referenced)},
     )
 
 

@@ -303,7 +303,7 @@ def test_criterion_7_end_to_end_fixture(fixture_corpus):
     expected_random = []
     for round_ in rounds:
         train = corpus.slice_until(round_.train_cut)
-        devs = set(train.developers)
+        devs = train.contributor_ids() | train.reviewer_ids()
         per_pr = []
         for target, truth in round_.tests:
             pool = devs - {target.contributor}

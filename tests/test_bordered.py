@@ -16,7 +16,6 @@ import scipy.sparse.linalg as spla
 
 from hgrec import ranker
 from hgrec.config import HyperParams
-from hgrec.corpus import Developer
 from hgrec.hypergraph import VertexKind, build
 from hgrec.recommender import TargetPR, graft, prepare, query_vector, rank
 
@@ -29,7 +28,8 @@ BOT = "ci[bot]"
 
 
 def random_corpus(rng, n_prs=40, single_instant=False):
-    """Seeded corpus with a bot reviewer and one isolated PR: ``solo`` opens
+    """Seeded corpus with a bot account that the cleaning step would have
+    dropped, ranked like anyone else here, and one isolated PR: ``solo`` opens
     the window (contributor weight 0), has no reviewers and shares no path
     prefix with any other PR."""
     prs = [make_pr("solo", "loner", T0, ["solo/only.c"])]
@@ -44,9 +44,7 @@ def random_corpus(rng, n_prs=40, single_instant=False):
             at = created if single_instant else created + int(rng.integers(1, 72)) * 3600
             comments.append((author, at))
         prs.append(make_pr(f"p{i:03d}", contributor, created, files, comments))
-    corpus = make_corpus(prs)
-    corpus.developers[BOT] = Developer(BOT, is_bot=True)
-    return corpus
+    return make_corpus(prs)
 
 
 def oracle_scores(graph, target, alpha):
@@ -71,7 +69,6 @@ def oracle_ranking(scores, graph, corpus, contributor):
         for v in graph.vertices
         if v.kind is VertexKind.DEVELOPER
         and v.ref != contributor
-        and not corpus.developers.get(v.ref, Developer(v.ref)).is_bot
     ]
     rows.sort(key=lambda row: (-row[1], -counts.get(row[0], 0), row[0]))
     return [dev for dev, _ in rows]
@@ -93,7 +90,6 @@ def check_query(corpus, target, params=HyperParams(), k=5):
 
     ranked = rank(state, target, k).ids()
     assert ranked == oracle_ranking(expected, graph, corpus, target.contributor)[:k]
-    assert BOT not in ranked
     return system
 
 
@@ -175,7 +171,7 @@ def test_repeated_queries_identical_and_leave_fit_state_unchanged():
             system.order.copy(),
             ranker.ordered_matrix(system).toarray(),
             copy.deepcopy((state.graph.vertices, state.graph.edges, state.graph.by_kind)),
-            state.candidates,
+            state.developer_ids,
         )
 
     before = snapshot()

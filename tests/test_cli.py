@@ -167,6 +167,14 @@ class TestIngest:
         assert stats["contributors"] == len({r["contributor"] for r in rows})
 
 
+def artifact(**pr_fields):
+    """A one-PR corpus artifact, its PR fields overridden by ``pr_fields``."""
+    pr = {"id": "p1", "contributor": "ann", "created_at": 1_600_000_000,
+          "state": "merged", "files": ["src/a.c"], "comments": [], **pr_fields}
+    return {"format": "hgrec-corpus-v1", "t_start": 1_600_000_000,
+            "t_end": 1_600_000_000, "prs": [pr]}
+
+
 class TestStats:
     def test_from_artifact(self, corpus_artifact, capsys):
         assert main(["stats", "--corpus", corpus_artifact]) == 0
@@ -179,14 +187,21 @@ class TestStats:
                      "--input", str(FIXTURE)]) == 2
 
     @pytest.mark.parametrize(
-        "text", ["not json", json.dumps({"format": "hgrec-corpus-v1"})],
-        ids=["not-json", "no-prs"],
+        "text, field",
+        [
+            ("not json", ""),
+            (json.dumps({"format": "hgrec-corpus-v1"}), ""),
+            (json.dumps(artifact(created_at="x")), "pr 0: bad created_at"),
+            (json.dumps({**artifact(), "t_end": "2020"}), "bad t_end"),
+            (json.dumps(artifact(files="src/a.c")), "pr 0: files"),
+        ],
+        ids=["not-json", "no-prs", "created-at-string", "t-end-string", "files-string"],
     )
-    def test_malformed_artifact_exits_2(self, tmp_path, capsys, text):
+    def test_malformed_artifact_exits_2(self, tmp_path, capsys, text, field):
         path = tmp_path / "corpus.json"
         path.write_text(text)
         assert main(["stats", "--corpus", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: corpus artifact:")
+        assert capsys.readouterr().err.startswith(f"error: corpus artifact: {field}")
 
 
 GOOD_TARGET = {
@@ -328,6 +343,27 @@ class TestRecommend:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["hgrec", "ac", "revfinder", "chrev", "cn"])
+    def test_developers_list_of_older_artifacts_changes_no_ranking(
+        self, corpus_artifact, capsys, tmp_path, name
+    ):
+        payload = json.loads(Path(corpus_artifact).read_text())
+        assert "developers" not in payload
+        ids = {pr["contributor"] for pr in payload["prs"]}
+        ids |= {c["author"] for pr in payload["prs"] for c in pr["comments"]}
+        payload["developers"] = [{"id": d, "is_bot": d == "alice"} for d in sorted(ids)]
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(payload))
+        argv = ["recommend", "--recommender", name, "--top-k", "50",
+                "--files", "src/net/tcp.c,src/net/dns.c", "--contributor", "eve",
+                "--time", "2020-08-01T00:00:00Z"]
+        outputs = []
+        for path in (corpus_artifact, str(older)):
+            assert main([*argv, "--corpus", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert '"alice"' in outputs[0]
+
     def test_baseline_selection(self, corpus_artifact, capsys):
         code = main(
             ["recommend", "--corpus", corpus_artifact, "--recommender", "ac",
@@ -430,24 +466,28 @@ class TestConfig:
         )
         assert code == 0
 
+    RECOMMEND = ["recommend", "--files", "src/net/tcp.c", "--contributor", "eve",
+                 "--time", "2020-08-01T00:00:00Z"]
+
     @pytest.mark.parametrize(
-        "text, field",
+        "text, command, field",
         [
-            ("{", "config is not JSON"),
-            ('{"params": {"alpha": "x"}}', "alpha"),
-            ('{"ks": "5"}', "ks"),
-            ('{"params": {"bogus": 1}}', "bogus"),
+            ("{", RECOMMEND, "config is not JSON"),
+            ('{"params": {"alpha": "x"}}', RECOMMEND, "alpha"),
+            ('{"ks": "5"}', RECOMMEND, "ks"),
+            ('{"params": {"bogus": 1}}', RECOMMEND, "bogus"),
+            ("{}", ["evaluate", "--ks", "a"], "ks"),
+            ("{}", ["evaluate", "--ks", "1,,3"], "ks"),
         ],
-        ids=["not-json", "alpha-string", "ks-string", "unknown-param"],
+        ids=["not-json", "alpha-string", "ks-string", "unknown-param",
+             "ks-flag-letter", "ks-flag-empty-item"],
     )
-    def test_malformed_config_exits_2(self, tmp_path, corpus_artifact, capsys, text, field):
+    def test_malformed_config_exits_2(
+        self, tmp_path, corpus_artifact, capsys, text, command, field
+    ):
         path = tmp_path / "config.json"
         path.write_text(text)
-        code = main(
-            ["recommend", "--corpus", corpus_artifact, "--config", str(path),
-             "--files", "src/net/tcp.c", "--contributor", "eve",
-             "--time", "2020-08-01T00:00:00Z"]
-        )
+        code = main([*command, "--corpus", corpus_artifact, "--config", str(path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err

@@ -278,9 +278,6 @@ class TestClean:
         ]
         corpus = clean(raw, min_reviews=1)
         assert {pr.id for pr in corpus.prs} <= {"p1", "p2"}
-        referenced = {pr.contributor for pr in corpus.prs}
-        referenced |= {c.author for pr in corpus.prs for c in pr.comments}
-        assert referenced == set(corpus.developers)
 
 
 class TestReviewerSets:
@@ -326,6 +323,59 @@ class TestArtifact:
         with pytest.raises(HgrecError) as err:
             corpus_from_json(text)
         assert str(err.value).startswith("corpus artifact: ")
+
+    @staticmethod
+    def small_payload():
+        corpus = clean(
+            [
+                make_pr("p1", "a", T0, ["f", "g"], comments=[("b", T0 + 1)]),
+                make_pr("p2", "b", T0 + DAY, ["f"], comments=[("a", T0 + DAY + 5)]),
+            ],
+            min_reviews=1,
+        )
+        return json.loads(corpus_to_json(corpus))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("prs", 0, "created_at"), "x", "pr 0: bad created_at"),
+            (("prs", 0, "created_at"), True, "pr 0: bad created_at"),
+            (("prs", 1, "comments", 0, "created_at"), 1.5, "pr 1: comment 0 has bad"),
+            (("prs", 1, "comments", 0, "author"), "", "pr 1: comment 0 author"),
+            (("t_start",), True, "bad t_start"),
+            (("t_end",), "2020", "bad t_end"),
+            (("prs", 0, "files"), "f", "pr 0: files"),
+            (("prs", 0, "files"), [""], "pr 0: files"),
+            (("prs", 0, "files"), [], "pr 0: files"),
+            (("prs", 0, "comments"), {}, "pr 0: comments"),
+            (("prs", 0, "id"), "", "pr 0: id"),
+            (("prs", 1, "contributor"), 7, "pr 1: contributor"),
+            (("prs", 0, "state"), "draft", "pr 0: state"),
+            (("prs",), {}, "prs must be a list"),
+        ],
+        ids=["created-at-string", "created-at-bool", "comment-created-at-float",
+             "comment-author-empty", "t-start-bool", "t-end-string", "files-string",
+             "files-empty-path", "files-empty", "comments-dict", "id-empty", "contributor-int",
+             "state-unknown", "prs-dict"],
+    )
+    def test_mistyped_field_names_pr_and_field(self, path, value, message):
+        payload = self.small_payload()
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(HgrecError) as err:
+            corpus_from_json(json.dumps(payload))
+        assert str(err.value).startswith(f"corpus artifact: {message}")
+
+    def test_developers_list_of_older_artifacts_is_ignored(self):
+        payload = self.small_payload()
+        assert "developers" not in payload
+        text = json.dumps(payload)
+        payload["developers"] = [{"id": "a", "is_bot": False}, {"id": "b", "is_bot": True}]
+        older = corpus_from_json(json.dumps(payload))
+        assert corpus_to_json(older) == corpus_to_json(corpus_from_json(text))
 
     def test_slice_until_truncates_comments(self):
         corpus = clean(

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgrec.cli import main
-from hgrec.corpus import PR_STATES
+from hgrec.corpus import ARTIFACT_FORMAT, PR_STATES
 
 FIXTURE = Path(__file__).parent / "data" / "review_history_50pr.jsonl"
 
@@ -28,27 +28,50 @@ def mostly(valid):
 
 names = st.text(min_size=1, max_size=4)
 timestamps = st.datetimes().map(lambda t: t.isoformat() + "Z")
-comment_like = st.fixed_dictionaries(
-    {"author": mostly(names), "created_at": mostly(timestamps)}
-)
-# Records near the valid shape reach the field checks, and the fit and the
-# query behind them, which random values never get past.
-record_like = st.fixed_dictionaries(
-    {
-        "id": mostly(names),
-        "contributor": mostly(names),
-        "created_at": mostly(timestamps),
-        "state": mostly(st.sampled_from(PR_STATES)),
-        "files": mostly(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=3)),
-    },
-    optional={"comments": mostly(st.lists(mostly(comment_like), max_size=3))},
-)
+epochs = st.integers(0, 2**33)
+
+
+def records_like(times):
+    """Records near the valid shape, with time fields drawn from ``times``:
+    they reach the field checks, and the fit and the query behind them, which
+    random values never get past."""
+    comment_like = st.fixed_dictionaries(
+        {"author": mostly(names), "created_at": mostly(times)}
+    )
+    return st.fixed_dictionaries(
+        {
+            "id": mostly(names),
+            "contributor": mostly(names),
+            "created_at": mostly(times),
+            "state": mostly(st.sampled_from(PR_STATES)),
+            "files": mostly(
+                st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=3)
+            ),
+        },
+        optional={"comments": mostly(st.lists(mostly(comment_like), max_size=3))},
+    )
+
+
+record_like = records_like(timestamps)
 # A target may leave out its id.
 target_like = record_like | record_like.map(
     lambda obj: {k: v for k, v in obj.items() if k != "id"}
 )
 export_lines = st.binary(max_size=40) | record_like.map(
     lambda obj: json.dumps(obj, ensure_ascii=False).encode()
+)
+# Artifacts store times as epoch seconds; older ones also list developers.
+artifact_like = st.fixed_dictionaries(
+    {
+        "format": mostly(st.just(ARTIFACT_FORMAT)),
+        "t_start": mostly(epochs),
+        "t_end": mostly(epochs),
+        "prs": mostly(st.lists(records_like(epochs), max_size=3)),
+    },
+    optional={
+        "developers": json_values
+        | st.lists(st.fixed_dictionaries({"id": names, "is_bot": st.booleans()}))
+    },
 )
 
 fuzz = settings(
@@ -88,3 +111,18 @@ def test_any_target_json_exits_0_or_2(corpus_artifact, tmp_path, capsys, value):
     code = main(["recommend", "--corpus", corpus_artifact, "--target", str(target)])
     capsys.readouterr()
     assert code in (0, 2)
+
+
+@fuzz
+@given(value=artifact_like | json_values)
+def test_any_artifact_json_exits_0_or_2(tmp_path, capsys, value):
+    """``stats`` reads an artifact; ``recommend`` also fits and queries it."""
+    artifact = tmp_path / "corpus.json"
+    artifact.write_text(json.dumps(value))
+    code = main(["stats", "--corpus", str(artifact)])
+    assert code in (0, 2)
+    if code == 0:
+        code = main(["recommend", "--corpus", str(artifact), "--files", "a/b",
+                     "--contributor", "x", "--time", "2030-01-01T00:00:00Z"])
+        assert code in (0, 2)
+    capsys.readouterr()
