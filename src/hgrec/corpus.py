@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import kernels
 from .errors import EmptyCorpusError, ExportParseError, HgrecError
 
@@ -78,6 +80,9 @@ class ReviewCorpus:
     ``t_start``/``t_end`` are the dataset window bounds. After clean() they
     equal the min/max observed timestamp; windowed slices carry the window
     cut as ``t_end`` instead.
+
+    A corpus and every ``slice_until`` descendant share one similarity store,
+    held by the root: ``_positions`` maps a slice's PRs to the root's.
     """
 
     prs: list[PullRequest]
@@ -87,6 +92,12 @@ class ReviewCorpus:
         default=None, repr=False, compare=False
     )
     _file_packs: dict[str, kernels.FilePack] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _root: "ReviewCorpus | None" = field(default=None, repr=False, compare=False)
+    _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # unit -> root PR index -> (root columns, values) of its positive entries.
+    _similarity: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -119,6 +130,32 @@ class ReviewCorpus:
             )
         return self._file_packs[unit]
 
+    def similarity_row(self, index: int, unit: str) -> np.ndarray:
+        """``kernels.mean_similarity_row`` of PR ``index`` against every PR of
+        this corpus, as a fresh array.
+
+        Each row is computed once, against the root corpus, and kept sparse in
+        the root's store for every slice of it. An entry depends only on the
+        two file sets (the kernel's additions are vectorized across sets), so
+        the root row read at a slice's PRs is exactly the slice's own row. A
+        concurrent miss recomputes the same row, and the store keeps either.
+        """
+        root = self._root or self
+        at = self._positions
+        rows = root._similarity.setdefault(unit, {})
+        r = index if at is None else int(at[index])
+        if r not in rows:
+            pack = root.file_pack(unit)
+            full = kernels.mean_similarity_row(
+                *pack.slice_one(r), pack.tokens, pack.file_off, pack.set_off
+            )
+            cols = np.flatnonzero(full > 0.0).astype(np.int32)
+            rows[r] = (cols, full[cols])
+        cols, values = rows[r]
+        row = np.zeros(len(root.prs))
+        row[cols] = values
+        return row if at is None else row[at]
+
     def stats(self) -> dict[str, int]:
         return {
             "prs": len(self.prs),
@@ -130,8 +167,17 @@ class ReviewCorpus:
     def slice_until(self, cut: int) -> "ReviewCorpus":
         """Training window [t_start, cut): PRs created before the cut with
         comments truncated at the cut, so nothing at or past it leaks in."""
-        kept = [pr.truncated(cut) for pr in self.prs if pr.created_at < cut]
-        return ReviewCorpus(prs=kept, t_start=self.t_start, t_end=cut)
+        kept = [i for i, pr in enumerate(self.prs) if pr.created_at < cut]
+        positions = np.asarray(kept, dtype=np.int64)
+        if self._positions is not None:
+            positions = self._positions[positions]
+        return ReviewCorpus(
+            prs=[self.prs[i].truncated(cut) for i in kept],
+            t_start=self.t_start,
+            t_end=cut,
+            _root=self._root or self,
+            _positions=positions,
+        )
 
 
 def parse_timestamp(text: str) -> int:
@@ -373,8 +419,9 @@ def _epoch_seconds(value: object) -> int:
 
 def corpus_from_json(text: str | bytes) -> ReviewCorpus:
     """Load a corpus artifact, checking every PR with the export's field rules
-    (times as integers); keys it does not read, such as the ``developers``
-    list of older artifacts, are ignored."""
+    (times as integers) and rejecting a repeated PR id, as ``clean`` does;
+    keys it does not read, such as the ``developers`` list of older
+    artifacts, are ignored."""
     try:
         payload = _load_json(text)
         if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
@@ -387,11 +434,18 @@ def corpus_from_json(text: str | bytes) -> ReviewCorpus:
         if not isinstance(payload["prs"], list):
             raise ValueError("prs must be a list")
         prs = []
+        first_at: dict[str, int] = {}
         for i, rec in enumerate(payload["prs"]):
             try:
                 prs.append(parse_record(rec, timestamp=_epoch_seconds))
                 if not prs[-1].files:  # clean() keeps only PRs with files
                     raise ValueError("files must name at least one path")
+                pr_id = prs[-1].id
+                if pr_id in first_at:  # one id would merge into one vertex
+                    raise ValueError(
+                        f"duplicate id {pr_id!r} (first at pr {first_at[pr_id]})"
+                    )
+                first_at[pr_id] = i
             except ValueError as exc:
                 raise ValueError(f"pr {i}: {exc}") from exc
         return ReviewCorpus(prs=prs, t_start=payload["t_start"], t_end=payload["t_end"])

@@ -211,17 +211,11 @@ def scale_into_range(raw: float, raw_range: tuple[float, float] | None) -> float
 
 
 def pr_pr_raw_row(
-    pack: kernels.FilePack,
-    times: np.ndarray,
-    span: float,
-    t_tokens: np.ndarray,
-    t_off: np.ndarray,
-    t_created: int,
+    sims: np.ndarray, times: np.ndarray, span: float, t_created: int
 ) -> np.ndarray:
-    """Raw pr_pr weights of one (possibly external) PR against all packed PRs."""
-    sims = kernels.mean_similarity_row(
-        t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
-    )
+    """Raw pr_pr weights of one (possibly external) PR created at
+    ``t_created`` against the PRs created at ``times``: its kernel row
+    ``sims``, damped in place by the time gaps."""
     if span:
         sims *= np.exp(-np.abs(times - t_created) / span)
     return sims
@@ -302,17 +296,17 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
 
     # Pairwise PR links: evaluate every pair once per endpoint, keep an edge
     # when either endpoint ranks it within its own top-m, dedup to one edge
-    # per unordered pair. Zero-weight pairs are never materialized.
-    pack = corpus.file_pack(params.similarity_unit)
+    # per unordered pair. Zero-weight pairs are never materialized. Kernel
+    # rows come from the corpus's shared store; damping follows this window.
+    unit = params.similarity_unit
     times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
     span = _span(t_start, t_end)
     order_rank = _chronology_rank(corpus.prs)
     pr_vertices = [vertex_ids[(VertexKind.PR, pr.id)] for pr in corpus.prs]
 
     pair_weights: dict[tuple[int, int], float] = {}
-    for i in range(len(corpus.prs)):
-        t_tokens, t_off = pack.slice_one(i)
-        raw = pr_pr_raw_row(pack, times, span, t_tokens, t_off, corpus.prs[i].created_at)
+    for i, pr in enumerate(corpus.prs):
+        raw = pr_pr_raw_row(corpus.similarity_row(i, unit), times, span, pr.created_at)
         for j in _top_partners(raw, order_rank, params.top_m, skip=i):
             pair = (i, j) if i < j else (j, i)
             pair_weights.setdefault(pair, float(raw[j]))
@@ -330,7 +324,9 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
         raw_range={},
         params=params,
         vertex_ids=vertex_ids,
-        pr_index=PRIndex(pack, times, order_rank, np.asarray(pr_vertices)),
+        pr_index=PRIndex(
+            corpus.file_pack(unit), times, order_rank, np.asarray(pr_vertices)
+        ),
     )
     return normalize_weights(graph)
 

@@ -49,7 +49,8 @@ class RankingSystem:
     vertex_degree: np.ndarray
     alpha: float
     n_edges: int
-    # Elimination order of S for the direct solve, chosen on first use.
+    # Elimination order of S for the direct solve: chosen when a base system
+    # is assembled ``ordered``, else on its first direct solve.
     order: np.ndarray | None = None
     _matrix: sp.csc_matrix | None = field(default=None, repr=False)
     _transition: sp.csr_matrix | None = field(default=None, repr=False)
@@ -87,9 +88,14 @@ def _edge_terms(edges, n_vertices: int):
 
 
 def assemble(
-    graph: Hypergraph, alpha: float, base: RankingSystem | None = None
+    graph: Hypergraph,
+    alpha: float,
+    base: RankingSystem | None = None,
+    ordered: bool = False,
 ) -> RankingSystem:
-    """Kernel and degrees of a built hypergraph.
+    """Kernel and degrees of a built hypergraph; with ``ordered``, also its
+    elimination order and ordered S (``ordered_matrix``), which every direct
+    solve of the system and of its bordered extensions reads.
 
     With ``base``, the system of a graph that ``graph`` extends by appended
     vertices and edges. Only the appended edges are assembled; they border
@@ -107,7 +113,10 @@ def assemble(
     if base is None:
         kernel = sp.coo_matrix((values, (rows, cols)), shape=(n_v, n_v))
         kernel.sum_duplicates()
-        return RankingSystem(kernel, degree, alpha, n_edges=len(graph.edges))
+        system = RankingSystem(kernel, degree, alpha, n_edges=len(graph.edges))
+        if ordered:
+            ordered_matrix(system)
+        return system
 
     n_base = base.n_vertices
     border_degree = degree.copy()

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import ranker
+from . import kernels, ranker
 from .config import HyperParams
 from .corpus import ReviewCorpus, TargetPR
 from .errors import HgrecError
@@ -69,9 +69,9 @@ def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitS
         raise HgrecError("params differ from the ones the base graph was built with")
     if base.pr_index is None:
         raise HgrecError("base graph carries no PR index; rebuild it from a corpus")
-    system = ranker.assemble(base, params.alpha)
-    if ranker.uses_direct(params, base.n_vertices):
-        ranker.ordered_matrix(system)
+    system = ranker.assemble(
+        base, params.alpha, ordered=ranker.uses_direct(params, base.n_vertices)
+    )
     developers = [v for v in base.vertices if v.kind is VertexKind.DEVELOPER]
     return FitState(
         graph=base,
@@ -132,11 +132,11 @@ def graft(state: FitState, target: TargetPR) -> Hypergraph:
     )
 
     index = base.pr_index
-    t_tokens, t_off = index.pack.pack_one(target.files)
-    raw = pr_pr_raw_row(
-        index.pack, index.times, _span(t_start, t_end), t_tokens, t_off,
-        target.created_at,
+    pack = index.pack
+    sims = kernels.mean_similarity_row(
+        *pack.pack_one(target.files), pack.tokens, pack.file_off, pack.set_off
     )
+    raw = pr_pr_raw_row(sims, index.times, _span(t_start, t_end), target.created_at)
     for j in _top_partners(raw, index.chronology, base.params.top_m):
         partner_v = int(index.vertices[j])
         add_edge(

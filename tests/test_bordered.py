@@ -158,6 +158,27 @@ def test_iterative_solver_agrees_on_bordered_systems():
     )
 
 
+def test_base_system_is_ordered_at_assembly_and_rank_factors_once(monkeypatch):
+    corpus = random_corpus(np.random.default_rng(4))
+    params = HyperParams(solver="direct")
+    graph = build(corpus, params)
+    assert ranker.assemble(graph, params.alpha).order is None
+    assert ranker.assemble(graph, params.alpha, ordered=True).order is not None
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(
+        spla, "splu",
+        lambda *args, **kwargs: factored.append(kwargs["permc_spec"]) or splu(*args, **kwargs),
+    )
+    state = prepare(graph, corpus, params)
+    # prepare chooses the fill-reducing order once; a query only refactors.
+    assert factored == ["MMD_AT_PLUS_A"]
+    assert state.system.order is not None
+    factored.clear()
+    rank(state, TargetPR("t", "dev1", T0 + 90 * DAY, ("src/ui/f3.c",)), 5)
+    assert factored == ["NATURAL"]
+
+
 def test_repeated_queries_identical_and_leave_fit_state_unchanged():
     corpus = random_corpus(np.random.default_rng(5))
     params = HyperParams()

@@ -194,8 +194,10 @@ class TestStats:
             (json.dumps(artifact(created_at="x")), "pr 0: bad created_at"),
             (json.dumps({**artifact(), "t_end": "2020"}), "bad t_end"),
             (json.dumps(artifact(files="src/a.c")), "pr 0: files"),
+            (json.dumps({**artifact(), "prs": artifact()["prs"] * 2}), "pr 1: duplicate id"),
         ],
-        ids=["not-json", "no-prs", "created-at-string", "t-end-string", "files-string"],
+        ids=["not-json", "no-prs", "created-at-string", "t-end-string", "files-string",
+             "id-repeated"],
     )
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, text, field):
         path = tmp_path / "corpus.json"

@@ -352,11 +352,12 @@ class TestArtifact:
             (("prs", 1, "contributor"), 7, "pr 1: contributor"),
             (("prs", 0, "state"), "draft", "pr 0: state"),
             (("prs",), {}, "prs must be a list"),
+            (("prs", 1, "id"), "p1", "pr 1: duplicate id 'p1'"),
         ],
         ids=["created-at-string", "created-at-bool", "comment-created-at-float",
              "comment-author-empty", "t-start-bool", "t-end-string", "files-string",
              "files-empty-path", "files-empty", "comments-dict", "id-empty", "contributor-int",
-             "state-unknown", "prs-dict"],
+             "state-unknown", "prs-dict", "id-repeated"],
     )
     def test_mistyped_field_names_pr_and_field(self, path, value, message):
         payload = self.small_payload()

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hgrec import kernels
 from hgrec.corpus import ReviewCorpus, parse_timestamp
 from hgrec.errors import CorpusSpanError, UndefinedMetricError
 from hgrec.evaluation import (
@@ -18,7 +19,7 @@ from hgrec.evaluation import (
     run_comparison,
     span_in_months,
 )
-from hgrec.recommender import Recommendation
+from hgrec.recommender import HypergraphRecommender, Recommendation
 
 from conftest import DAY, make_corpus, make_pr
 
@@ -289,6 +290,23 @@ class TestRunComparison:
             ks=(1, 3),
         )
         assert cuts == [r.train_cut for r in report.rounds]
+
+    def test_one_kernel_row_per_corpus_pr_and_test_pr(self, monkeypatch):
+        # Every round's build reads the rows of the backtest's one store; only
+        # each query's graft computes a row of its own.
+        rows = []
+        row = kernels.mean_similarity_row
+        monkeypatch.setattr(
+            kernels, "mean_similarity_row",
+            lambda *args, **kwargs: rows.append(args) or row(*args, **kwargs),
+        )
+        corpus = monthly_corpus(16)
+        report = run_comparison(
+            corpus, [RecommenderSpec("hgrec", HypergraphRecommender)], ks=(1, 3)
+        )
+        tests = sum(len(r.tests) for r in make_rounds(corpus))
+        assert len(report.rounds) == 4
+        assert 0 < len(rows) <= len(corpus.prs) + tests
 
     def test_csv_shape_and_formatting(self):
         corpus = monthly_corpus(14)

@@ -1,16 +1,24 @@
 """Edge-weight formulas, normalization, and graph construction."""
 
+import importlib.util
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hgrec.config import HyperParams
-from hgrec.corpus import clean
+from hgrec.config import SIMILARITY_UNITS, HyperParams
+from hgrec.corpus import ReviewCorpus, clean, parse_export
+from hgrec.evaluation import make_rounds
+from hgrec.fixtures import BOT_PATTERN
 from hgrec.hypergraph import (
     EdgeKind,
     VertexKind,
     build,
+    graph_to_dict,
     normalize_weights,
     path_similarity,
     weight_pr_contributor,
@@ -22,6 +30,8 @@ from conftest import DAY, make_corpus, make_pr
 
 T0 = 1_600_000_000
 T1 = T0 + 100 * DAY  # corpus window used throughout
+REPO = Path(__file__).parents[1]
+FIXTURE = REPO / "tests" / "data" / "review_history_50pr.jsonl"
 
 
 class TestWeightPrReviewer:
@@ -343,3 +353,88 @@ class TestBuild:
                 p1, p2, specialist_corpus.t_start, specialist_corpus.t_end
             )
             assert edge.raw_weight == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The similarity store a corpus shares with its slices.
+
+
+def _synth_corpus():
+    """A small corpus of the shape the benchmark generates."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_synth", REPO / "perfbench" / "synth.py"
+    )
+    synth = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = synth  # dataclass creation looks its module up
+    try:
+        spec.loader.exec_module(synth)
+    finally:
+        del sys.modules[spec.name]
+    records, _ = synth.generate(synth.Shape(prs=100, months=16), seed=7)
+    return clean(parse_export(synth.to_jsonl(records).splitlines()))
+
+
+@pytest.fixture(scope="module", params=["synth", "fixture"])
+def history(request):
+    if request.param == "synth":
+        return _synth_corpus()
+    with open(FIXTURE, encoding="utf-8") as handle:
+        return clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
+
+
+def _fresh(corpus):
+    """The same PRs and window in a corpus with a store of its own."""
+    return ReviewCorpus(prs=list(corpus.prs), t_start=corpus.t_start, t_end=corpus.t_end)
+
+
+def _shuffled(corpus):
+    """A root whose PRs are out of time order: its slices are no prefix."""
+    prs = list(corpus.prs)
+    random.Random(7).shuffle(prs)
+    return ReviewCorpus(prs=prs, t_start=corpus.t_start, t_end=corpus.t_end)
+
+
+def _assert_builds_fresh(corpus, params):
+    assert graph_to_dict(build(corpus, params)) == graph_to_dict(
+        build(_fresh(corpus), params)
+    )
+
+
+class TestSharedSimilarityStore:
+    """A slice reads its kernel rows from its root's store, and its graph
+    equals the one a corpus of the same PRs builds alone, bit for bit."""
+
+    @pytest.mark.parametrize("unit", SIMILARITY_UNITS)
+    @pytest.mark.parametrize("order", [_fresh, _shuffled], ids=["by-time", "shuffled"])
+    def test_round_slices_and_their_slices(self, history, unit, order):
+        root = order(history)
+        params = HyperParams(similarity_unit=unit)
+        for round_ in make_rounds(history):
+            train = root.slice_until(round_.train_cut)
+            _assert_builds_fresh(train, params)
+            stamps = sorted(pr.created_at for pr in train.prs)
+            _assert_builds_fresh(train.slice_until(stamps[len(stamps) // 2]), params)
+
+    @pytest.mark.parametrize("unit", SIMILARITY_UNITS)
+    def test_root_built_after_its_child(self, history, unit):
+        root = _shuffled(history)
+        params = HyperParams(similarity_unit=unit)
+        _assert_builds_fresh(root.slice_until(make_rounds(history)[0].train_cut), params)
+        _assert_builds_fresh(root, params)
+
+    def test_concurrent_builds_match_fresh_ones(self, history):
+        """Slices built in threads race on one store: a concurrent miss
+        recomputes a row and never changes one."""
+        root = _fresh(history)
+        params = HyperParams()
+        slices = [root.slice_until(r.train_cut) for r in make_rounds(history)] * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(build, corpus, params) for corpus in slices]
+                graphs = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for corpus, graph in zip(slices, graphs):
+            assert graph_to_dict(graph) == graph_to_dict(build(_fresh(corpus), params))

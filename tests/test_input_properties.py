@@ -61,12 +61,14 @@ export_lines = st.binary(max_size=40) | record_like.map(
     lambda obj: json.dumps(obj, ensure_ascii=False).encode()
 )
 # Artifacts store times as epoch seconds; older ones also list developers.
+# Some repeat their first record, whose id must not load twice.
+artifact_records = st.lists(records_like(epochs), max_size=3)
 artifact_like = st.fixed_dictionaries(
     {
         "format": mostly(st.just(ARTIFACT_FORMAT)),
         "t_start": mostly(epochs),
         "t_end": mostly(epochs),
-        "prs": mostly(st.lists(records_like(epochs), max_size=3)),
+        "prs": mostly(artifact_records | artifact_records.map(lambda prs: prs + prs[:1])),
     },
     optional={
         "developers": json_values
@@ -122,6 +124,8 @@ def test_any_artifact_json_exits_0_or_2(tmp_path, capsys, value):
     code = main(["stats", "--corpus", str(artifact)])
     assert code in (0, 2)
     if code == 0:
+        ids = [pr["id"] for pr in value["prs"]]
+        assert len(set(ids)) == len(ids), "a repeated PR id loaded"
         code = main(["recommend", "--corpus", str(artifact), "--files", "a/b",
                      "--contributor", "x", "--time", "2030-01-01T00:00:00Z"])
         assert code in (0, 2)
