@@ -50,8 +50,11 @@ class PullRequest:
         )
 
     def truncated(self, cut: int) -> "PullRequest":
-        """Copy of this PR keeping only comments created before ``cut``."""
+        """This PR keeping only comments created before ``cut``: itself when
+        that is every comment (no code mutates a PR), else a copy."""
         kept = tuple(c for c in self.comments if c.created_at < cut)
+        if len(kept) == len(self.comments):
+            return self
         return PullRequest(
             id=self.id,
             contributor=self.contributor,
@@ -139,6 +142,8 @@ class ReviewCorpus:
         two file sets (the kernel's additions are vectorized across sets), so
         the root row read at a slice's PRs is exactly the slice's own row. A
         concurrent miss recomputes the same row, and the store keeps either.
+        The root itself reads stored rows but keeps none of its own: built
+        once per fit, it would never read them again.
         """
         root = self._root or self
         at = self._positions
@@ -149,6 +154,8 @@ class ReviewCorpus:
             full = kernels.mean_similarity_row(
                 *pack.slice_one(r), pack.tokens, pack.file_off, pack.set_off
             )
+            if self._root is None:
+                return full
             cols = np.flatnonzero(full > 0.0).astype(np.int32)
             rows[r] = (cols, full[cols])
         cols, values = rows[r]

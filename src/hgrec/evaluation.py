@@ -20,6 +20,7 @@ present) with the Wilcoxon signed-rank test over per-round metric values.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -68,6 +69,7 @@ class EvaluationRound:
     test_start: int
     test_end: int
     tests: list[tuple[TargetPR, frozenset[str]]]
+    train_reviewers: int  # distinct reviewers in the training window
 
 
 @dataclass
@@ -97,6 +99,15 @@ def make_rounds(
             f"corpus spans {total} months; the protocol needs at least "
             f"{initial_months + 1} (initial_months + 1 test month)"
         )
+    # A reviewer is in a training window once one of their comments and its
+    # PR both predate the cut.
+    entered: dict[str, int] = {}
+    for pr in corpus.prs:
+        for c in pr.comments:
+            if c.author != pr.contributor:
+                at = max(pr.created_at, c.created_at)
+                entered[c.author] = min(at, entered.get(c.author, at))
+    entries = sorted(entered.values())
     origin = month_start(corpus.t_start)
     rounds = []
     for r in range(1, min(max_rounds, total - initial_months) + 1):
@@ -117,7 +128,12 @@ def make_rounds(
         ]
         rounds.append(
             EvaluationRound(
-                index=r, train_cut=cut, test_start=cut, test_end=test_end, tests=tests
+                index=r,
+                train_cut=cut,
+                test_start=cut,
+                test_end=test_end,
+                tests=tests,
+                train_reviewers=bisect.bisect_left(entries, cut),
             )
         )
     return rounds
@@ -265,9 +281,8 @@ def _evaluate_round(
     round_: EvaluationRound,
     specs: Sequence[RecommenderSpec],
     max_k: int,
-) -> tuple[dict[str, list[PRRecord]], int]:
-    """Each recommender's records for one round, and the number of reviewers
-    in the round's training window."""
+) -> dict[str, list[PRRecord]]:
+    """Each recommender's records for one round."""
     train = corpus.slice_until(round_.train_cut)
     out: dict[str, list[PRRecord]] = {}
     for spec in specs:
@@ -281,7 +296,7 @@ def _evaluate_round(
             )
             for target, truth in round_.tests
         ]
-    return out, len(train.reviewer_ids())
+    return out
 
 
 def run_comparison(
@@ -320,7 +335,7 @@ def run_comparison(
     global_n = len(corpus.reviewer_ids())
     rows: list[MetricRow] = []
     records: dict[tuple[str, int], list[PRRecord]] = {
-        (label, r.index): per_round[i][0][label]
+        (label, r.index): per_round[i][label]
         for i, r in enumerate(rounds)
         for label in labels
     }
@@ -333,10 +348,11 @@ def run_comparison(
     for i, round_ in enumerate(rounds):
         if not round_.tests:
             continue
-        round_records, round_n = per_round[i]
-        n_reviewers = max(2, global_n if rd_scope == "global" else round_n)
+        n_reviewers = max(
+            2, global_n if rd_scope == "global" else round_.train_reviewers
+        )
         for label in labels:
-            recs = round_records[label]
+            recs = per_round[i][label]
             for k in ks:
                 row = MetricRow(
                     recommender=label,

@@ -17,10 +17,14 @@ symmetric system
 
 with identity rows for isolated vertices. S is positive definite (Dv - K is a
 hypergraph Laplacian and alpha < 1), so it is factored without pivoting in a
-fill-reducing elimination order. That order is chosen once per base graph; a
-system bordered with appended vertices eliminates them last. The iterative
-solver runs the fixed-point iteration f <- alpha * A @ f + y, which converges
-because alpha < 1 bounds the spectral radius of alpha * A.
+fill-reducing elimination order, once per base graph. A query appends
+vertices, and edges that each hold an appended vertex; its S differs from
+blockdiag(S0, I), S0 the base's S, only on the appended vertices and the base
+vertices their edges reach. That difference W is kept dense, and the query
+is solved by Woodbury: one solve with the base factor, then one dense solve
+of the size of W. The iterative solver runs the fixed-point iteration
+f <- alpha * A @ f + y, which converges because alpha < 1 bounds the
+spectral radius of alpha * A.
 """
 
 from __future__ import annotations
@@ -44,20 +48,25 @@ _SPD_FACTOR = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 @dataclass
 class RankingSystem:
-    # K in vertex order; duplicate entries add up.
-    kernel: sp.coo_matrix
+    # K in vertex order, duplicate entries adding up; None on an update.
+    kernel: sp.coo_matrix | None
     vertex_degree: np.ndarray
     alpha: float
     n_edges: int
-    # Elimination order of S for the direct solve: chosen when a base system
-    # is assembled ``ordered``, else on its first direct solve.
-    order: np.ndarray | None = None
-    _matrix: sp.csc_matrix | None = field(default=None, repr=False)
+    # SuperLU factor of S in a fill-reducing order: made when a base system
+    # is assembled ``ordered``, else at its first direct solve.
+    factor: spla.SuperLU | None = field(default=None, repr=False)
+    # An update of a factored base: S = blockdiag(S0, I) + U W U^T, with S0
+    # the base's S, U the identity's columns ``touched`` (base vertices the
+    # appended edges reach, then the appended vertices) and W ``update``.
+    base: RankingSystem | None = field(default=None, repr=False)
+    touched: np.ndarray | None = None
+    update: np.ndarray | None = field(default=None, repr=False)
     _transition: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
-        return self.kernel.shape[0]
+        return len(self.vertex_degree)
 
     @property
     def isolated(self) -> np.ndarray:
@@ -93,14 +102,15 @@ def assemble(
     base: RankingSystem | None = None,
     ordered: bool = False,
 ) -> RankingSystem:
-    """Kernel and degrees of a built hypergraph; with ``ordered``, also its
-    elimination order and ordered S (``ordered_matrix``), which every direct
-    solve of the system and of its bordered extensions reads.
+    """Kernel and degrees of a built hypergraph; with ``ordered``, also the
+    factor of its S in a fill-reducing order, which every direct solve of
+    the system and of its updates reads.
 
     With ``base``, the system of a graph that ``graph`` extends by appended
-    vertices and edges. Only the appended edges are assembled; they border
-    the base kernel and degrees and, when the base has one, its ordered S,
-    with the appended vertices eliminated last.
+    vertices and edges. Every appended edge holds an appended vertex, so the
+    appended edges change S only on the vertices they reach. On a factored
+    base only that change is kept, as an update; otherwise the appended
+    edges border the base kernel and degrees.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
@@ -115,69 +125,42 @@ def assemble(
         kernel.sum_duplicates()
         system = RankingSystem(kernel, degree, alpha, n_edges=len(graph.edges))
         if ordered:
-            ordered_matrix(system)
+            _factor(system)
         return system
 
     n_base = base.n_vertices
-    border_degree = degree.copy()
+    added = degree.copy()
     degree[:n_base] += base.vertex_degree
-    old = base.kernel
-    kernel = sp.coo_matrix(
-        (
-            np.concatenate((old.data, values)),
-            (np.concatenate((old.row, rows)), np.concatenate((old.col, cols))),
-        ),
-        shape=(n_v, n_v),
-    )
-    system = RankingSystem(kernel, degree, alpha, n_edges=len(graph.edges))
-    if base._matrix is not None:
-        system.order = np.concatenate((base.order, np.arange(n_base, n_v)))
-        system._matrix = _border(base, system, border_degree, rows, cols, values)
-    return system
-
-
-def _border(
-    base: RankingSystem,
-    system: RankingSystem,
-    border_degree: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-) -> sp.csc_matrix:
-    """Ordered S of ``system`` as the ordered S of ``base`` plus the terms
-    of the appended edges and vertices."""
-    n_base, n_v = base.n_vertices, system.n_vertices
-    position = np.empty(n_v, dtype=np.int64)
-    position[system.order] = np.arange(n_v)
-    # Diagonal changes: added degree, plus the identity rows that appear
-    # (isolated new vertices) or vanish (base vertices the border reaches).
-    touched = np.union1d(rows, np.arange(n_base, n_v))
-    was_isolated = np.zeros(n_v)
-    was_isolated[:n_base] = base.isolated
-    diagonal = (
-        border_degree[touched] + system.isolated[touched] - was_isolated[touched]
-    )
-    border = sp.coo_matrix(
-        (
-            np.concatenate((-system.alpha * values, diagonal)),
+    if base.factor is None:
+        old = base.kernel
+        kernel = sp.coo_matrix(
             (
-                position[np.concatenate((rows, touched))],
-                position[np.concatenate((cols, touched))],
+                np.concatenate((old.data, values)),
+                (np.concatenate((old.row, rows)), np.concatenate((old.col, cols))),
             ),
-        ),
-        shape=(n_v, n_v),
+            shape=(n_v, n_v),
+        )
+        return RankingSystem(kernel, degree, alpha, n_edges=len(graph.edges))
+
+    touched = np.union1d(rows, np.arange(n_base, n_v))
+    # W = S - blockdiag(S0, I) on touched: the appended kernel terms, the
+    # added degree, and the identity rows that vanish (base vertices the
+    # appended edges reach) or stay (isolated appended vertices).
+    before = np.ones(n_v)
+    before[:n_base] = base.isolated
+    update = np.zeros((len(touched), len(touched)))
+    np.add.at(
+        update,
+        (np.searchsorted(touched, rows), np.searchsorted(touched, cols)),
+        -alpha * values,
     )
-    matrix = base._matrix
-    indptr = matrix.indptr
-    padded = sp.csc_matrix(
-        (
-            matrix.data,
-            matrix.indices,
-            np.concatenate((indptr, np.full(n_v - n_base, indptr[-1]))),
-        ),
-        shape=(n_v, n_v),
+    update[np.diag_indices_from(update)] += (
+        added[touched] + (degree[touched] <= 0.0) - before[touched]
     )
-    return (padded + border).tocsc()
+    return RankingSystem(
+        None, degree, alpha, n_edges=len(graph.edges),
+        base=base, touched=touched, update=update,
+    )
 
 
 def transition_matrix(system: RankingSystem) -> sp.csr_matrix:
@@ -189,47 +172,86 @@ def transition_matrix(system: RankingSystem) -> sp.csr_matrix:
     return system._transition
 
 
-def ordered_matrix(system: RankingSystem) -> sp.csc_matrix:
-    """S = Dv - alpha * K, plus identity rows at isolated vertices, permuted
-    into the system's elimination order; memoized on the system. Without an
-    order, one is chosen by minimum degree on S + S.T."""
-    if system._matrix is None:
+def _factor(system: RankingSystem) -> spla.SuperLU:
+    """Factor of S = Dv - alpha * K, plus identity rows at isolated
+    vertices, in a minimum-degree order on S + S.T; memoized on the
+    system."""
+    if system.factor is None:
         matrix = (
             sp.diags(system.vertex_degree + system.isolated)
             - system.alpha * system.kernel
         ).tocsc()
-        if system.order is None:
-            factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR)
-            system.order = np.argsort(factor.perm_c)
-        system._matrix = matrix[system.order][:, system.order].tocsc()
-    return system._matrix
+        try:
+            system.factor = spla.splu(
+                matrix, permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR
+            )
+        except RuntimeError as exc:  # SuperLU reports a zero pivot this way
+            raise SolverError(f"direct solve failed: {exc}") from exc
+    return system.factor
+
+
+def _product(system: RankingSystem, x: np.ndarray) -> np.ndarray:
+    """S @ x, for an update as blockdiag(S0, I) @ x + U W U^T x."""
+    if system.base is None:
+        return (system.vertex_degree + system.isolated) * x - system.alpha * (
+            system.kernel @ x
+        )
+    n_base = system.base.n_vertices
+    out = np.concatenate((_product(system.base, x[:n_base]), x[n_base:]))
+    out[system.touched] += system.update @ x[system.touched]
+    return out
+
+
+def _solve_update(system: RankingSystem, rhs: np.ndarray) -> np.ndarray:
+    """Solve an update by Woodbury: with S~ = blockdiag(S0, I) and
+    Z = S~^-1 U, f = g - Z W f_J where g = S~^-1 b and (I + Z_J W) f_J = g_J.
+
+    One solve with the base factor takes b and the touched base columns
+    of U as right-hand sides; the rest is dense and of size |touched|.
+    """
+    base, touched, update = system.base, system.touched, system.update
+    n_base = base.n_vertices
+    n_touched = len(touched)
+    k = int(np.searchsorted(touched, n_base))  # touched base vertices
+    columns = np.zeros((n_base, k + 1))
+    columns[:, 0] = rhs[:n_base]
+    columns[touched[:k], np.arange(1, k + 1)] = 1.0
+    solved = base.factor.solve(columns)
+    g = np.concatenate((solved[:, 0], rhs[n_base:]))
+    z = np.eye(n_touched)
+    z[:k, :k] = solved[touched[:k], 1:]
+    try:
+        f_touched = np.linalg.solve(np.eye(n_touched) + z @ update, g[touched])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"direct solve failed: {exc}") from exc
+    correction = update @ f_touched
+    g[:n_base] -= solved[:, 1:] @ correction[:k]
+    g[n_base:] -= correction[k:]
+    return g
 
 
 def solve_direct(system: RankingSystem, query: np.ndarray) -> np.ndarray:
-    """Score vector via a sparse factorization of S f = b, b = Dv * query
-    (query itself at isolated vertices).
+    """Score vector of S f = b, b = Dv * query (query itself at isolated
+    vertices): with the system's sparse factor, or, for an update, with
+    its base's factor.
 
     Raises SolverError unless the scores are finite and reproduce b to
     RESIDUAL_BOUND * max(1, |b|_inf) in the max norm.
     """
     query = np.asarray(query, dtype=np.float64)
-    matrix = ordered_matrix(system)
-    rhs = ((system.vertex_degree + system.isolated) * query)[system.order]
-    try:
-        factor = spla.splu(matrix, permc_spec="NATURAL", **_SPD_FACTOR)
-    except RuntimeError as exc:  # SuperLU reports a zero pivot this way
-        raise SolverError(f"direct solve failed: {exc}") from exc
-    solution = factor.solve(rhs)
-    if not np.all(np.isfinite(solution)):
+    rhs = (system.vertex_degree + system.isolated) * query
+    if system.base is None:
+        scores = _factor(system).solve(rhs)
+    else:
+        scores = _solve_update(system, rhs)
+    if not np.all(np.isfinite(scores)):
         raise SolverError("direct solve produced non-finite scores")
-    residual = float(np.max(np.abs(matrix @ solution - rhs), initial=0.0))
+    residual = float(np.max(np.abs(_product(system, scores) - rhs), initial=0.0))
     bound = RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
     if residual > bound:
         raise SolverError(
             f"direct solve residual {residual:.3e} exceeds {bound:.3e}"
         )
-    scores = np.empty_like(solution)
-    scores[system.order] = solution
     return scores
 
 
@@ -271,7 +293,8 @@ def uses_direct(params: HyperParams, n_vertices: int) -> bool:
 
 
 def solve(system: RankingSystem, query: np.ndarray, params: HyperParams) -> np.ndarray:
-    """Dispatch per params.solver."""
-    if uses_direct(params, system.n_vertices):
+    """Dispatch per params.solver; an update is solved against its base's
+    factor whatever its own size."""
+    if system.base is not None or uses_direct(params, system.n_vertices):
         return solve_direct(system, query)
     return solve_iterative(system, query, tol=params.tol, max_iter=params.max_iter)

@@ -1,13 +1,13 @@
 """End-to-end recommendation: graft a target PR, seed a query, rank, filter.
 
 A fit builds the base graph and everything every query reads: its ranking
-system (kernel, degrees and a fill-reducing elimination order) and the
+system (kernel, degrees and, for the direct solver, the factor of S) and the
 candidate developers. A recommendation never mutates that state: the target
 PR (and its contributor, when new) is added to a shallow overlay copy,
 connected by one contributor edge plus its top-m strongest similar-PR edges;
-the base system is bordered with those appended vertices and edges and
-solved. The developer vertices are ranked by ``rank_developers``, the one
-ranking rule every recommender shares.
+those appended vertices and edges update the base system, which is solved
+against the base factor. The developer vertices are ranked by
+``rank_developers``, the one ranking rule every recommender shares.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Recommendation:
 @dataclass(frozen=True)
 class FitState:
     """Everything a query reads and none changes: the base graph, its ranking
-    system with a fill-reducing elimination order, the developer vertices
+    system with the factor of S, the developer vertices
     (ids and indices) and the corpus's historical comment counts."""
 
     graph: Hypergraph
@@ -183,7 +183,7 @@ def rank_developers(
 
 
 def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
-    """Algorithmic pipeline: graft, seed, border the base system and solve,
+    """Algorithmic pipeline: graft, seed, update the base system and solve,
     filter and sort, truncate."""
     if k < 1:
         raise HgrecError(f"k must be >= 1, got {k}")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,21 @@ from hgrec.corpus import PullRequest, ReviewComment, ReviewCorpus
 from hgrec.hypergraph import EdgeKind, Hyperedge, Hypergraph, Vertex, VertexKind
 
 DAY = 86400
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_synth():
+    """The benchmark's corpus generator, ``perfbench/synth.py``, read only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_synth", REPO / "perfbench" / "synth.py"
+    )
+    synth = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = synth  # dataclass creation looks its module up
+    try:
+        spec.loader.exec_module(synth)
+    finally:
+        del sys.modules[spec.name]
+    return synth
 
 
 def make_pr(

@@ -1,9 +1,9 @@
 """The bordered per-query solve against a from-scratch oracle.
 
-A query borders the per-fit ranking system with the grafted vertices and
-edges and factors the symmetric form in the base elimination order. The
-oracle builds the transition matrix of the grafted graph from its edge list
-alone and solves (I - alpha * A) f = y with spsolve.
+A query updates the per-fit ranking system with the grafted vertices and
+edges and solves against the base factor. The oracle builds the transition
+matrix of the grafted graph from its edge list alone and solves
+(I - alpha * A) f = y with spsolve.
 """
 
 import copy
@@ -79,10 +79,12 @@ def check_query(corpus, target, params=HyperParams(), k=5):
     state = prepare(base, corpus, params)
     graph = graft(state, target)
     system = ranker.assemble(graph, params.alpha, base=state.system)
-    # the query reuses the base elimination order, grafted vertices last
-    n_base = base.n_vertices
-    np.testing.assert_array_equal(system.order[:n_base], state.system.order)
-    np.testing.assert_array_equal(system.order[n_base:], np.arange(n_base, graph.n_vertices))
+    # the query updates the base factor on the grafted vertices and on the
+    # base vertices their edges reach
+    assert system.base is state.system
+    reached = {v for edge in graph.edges[len(base.edges):] for v in edge.members}
+    grafted = set(range(base.n_vertices, graph.n_vertices))
+    assert system.touched.tolist() == sorted(reached | grafted)
 
     scores = ranker.solve_direct(system, query_vector(graph, target))
     expected = oracle_scores(graph, target, params.alpha)
@@ -143,13 +145,48 @@ def test_target_after_corpus_matches_oracle(seed):
     check_query(corpus, target)
 
 
+@pytest.mark.parametrize("top_m", [1, 10, 100])
+@pytest.mark.parametrize("seed", range(8))
+def test_update_solve_matches_oracle_on_random_corpora(seed, top_m):
+    """Random small corpora, some of them single-instant, and targets by new
+    and returning contributors (loner among them), inside, at the start of
+    and after the window, some sharing solo's directory to revive it."""
+    rng = np.random.default_rng(300 + seed)
+    single_instant = seed % 4 == 0
+    corpus = random_corpus(rng, n_prs=int(rng.integers(3, 50)), single_instant=single_instant)
+    params = HyperParams(top_m=top_m, solver="direct")
+    for _ in range(4):
+        contributor = ("newcomer", "loner", *DEVS)[int(rng.integers(len(DEVS) + 2))]
+        when = (corpus.t_start, T0 + int(rng.integers(300)) * DAY, corpus.t_end + 30 * DAY)
+        areas = (*AREAS, "solo")
+        files = {
+            f"{areas[int(rng.integers(len(areas)))]}/f{int(rng.integers(8))}.c"
+            for _ in range(int(rng.integers(1, 4)))
+        }
+        target = TargetPR("t", contributor, when[int(rng.integers(3))], tuple(files))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            check_query(corpus, target, params)
+
+
+def test_auto_solves_every_query_of_a_factored_fit_against_its_factor(monkeypatch):
+    # the base sits at the size cutoff, so the fit is factored; its queries
+    # exceed the cutoff and still read that factor
+    corpus = random_corpus(np.random.default_rng(6))
+    params = HyperParams(solver="auto")
+    monkeypatch.setattr(
+        ranker, "DIRECT_SOLVER_MAX_VERTICES", build(corpus, params).n_vertices
+    )
+    check_query(corpus, TargetPR("t", "newcomer", T0 + 40 * DAY, ("src/db/f2.c",)), params)
+
+
 def test_iterative_solver_agrees_on_bordered_systems():
     corpus = random_corpus(np.random.default_rng(3))
     target = TargetPR("t", "newcomer", T0 + 200 * DAY, ("src/net/f2.c", "src/ui/f1.c"))
     direct = rank(prepare(build(corpus, HyperParams()), corpus, HyperParams()), target, 5)
     params = HyperParams(solver="iterative", tol=1e-13)
     state = prepare(build(corpus, params), corpus, params)
-    assert state.system.order is None  # no factorization is prepared
+    assert state.system.factor is None  # no factorization is prepared
     iterative = rank(state, target, 5)
     assert iterative.ids() == direct.ids()
     np.testing.assert_allclose(
@@ -162,8 +199,8 @@ def test_base_system_is_ordered_at_assembly_and_rank_factors_once(monkeypatch):
     corpus = random_corpus(np.random.default_rng(4))
     params = HyperParams(solver="direct")
     graph = build(corpus, params)
-    assert ranker.assemble(graph, params.alpha).order is None
-    assert ranker.assemble(graph, params.alpha, ordered=True).order is not None
+    assert ranker.assemble(graph, params.alpha).factor is None
+    assert ranker.assemble(graph, params.alpha, ordered=True).factor is not None
     factored = []
     splu = spla.splu
     monkeypatch.setattr(
@@ -171,12 +208,12 @@ def test_base_system_is_ordered_at_assembly_and_rank_factors_once(monkeypatch):
         lambda *args, **kwargs: factored.append(kwargs["permc_spec"]) or splu(*args, **kwargs),
     )
     state = prepare(graph, corpus, params)
-    # prepare chooses the fill-reducing order once; a query only refactors.
+    # prepare factors S once, in a fill-reducing order; a query factors nothing.
     assert factored == ["MMD_AT_PLUS_A"]
-    assert state.system.order is not None
+    assert state.system.factor is not None
     factored.clear()
     rank(state, TargetPR("t", "dev1", T0 + 90 * DAY, ("src/ui/f3.c",)), 5)
-    assert factored == ["NATURAL"]
+    assert factored == []
 
 
 def test_repeated_queries_identical_and_leave_fit_state_unchanged():
@@ -189,8 +226,8 @@ def test_repeated_queries_identical_and_leave_fit_state_unchanged():
         return (
             system.kernel.toarray(),
             system.vertex_degree.copy(),
-            system.order.copy(),
-            ranker.ordered_matrix(system).toarray(),
+            system.factor.perm_c.copy(),
+            system.factor.solve(np.ones(system.n_vertices)),
             copy.deepcopy((state.graph.vertices, state.graph.edges, state.graph.by_kind)),
             state.developer_ids,
         )

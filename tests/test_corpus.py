@@ -3,8 +3,10 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
+from hgrec import kernels
 from hgrec.corpus import (
     TargetPR,
     clean,
@@ -17,7 +19,7 @@ from hgrec.corpus import (
 )
 from hgrec.errors import EmptyCorpusError, ExportParseError, HgrecError
 
-from conftest import DAY, make_pr
+from conftest import DAY, make_corpus, make_pr
 
 T0 = parse_timestamp("2020-01-01T00:00:00Z")
 
@@ -299,6 +301,34 @@ class TestReviewerSets:
     def test_no_comments(self):
         corpus = clean([make_pr("p", "a", T0, ["f"])], min_reviews=1)
         assert reviewer_sets(corpus)["p"] == frozenset()
+
+
+class TestSlices:
+    def test_untruncated_prs_are_shared_and_truncated_ones_copied(self):
+        early = make_pr("p1", "a", T0, ["f"], comments=[("b", T0 + 1)])
+        late = make_pr("p2", "a", T0 + 2, ["f"], comments=[("b", T0 + 3), ("c", T0 + 9)])
+        corpus = make_corpus([early, late])
+        train = corpus.slice_until(T0 + 5)
+        assert train.prs[0] is early
+        assert train.prs[1] is not late
+        assert train.prs[1].comments == late.comments[:1]
+        assert len(late.comments) == 2
+
+    def test_root_reads_stored_rows_but_keeps_none_of_its_own(self, monkeypatch):
+        rows = []
+        row = kernels.mean_similarity_row
+        monkeypatch.setattr(
+            kernels, "mean_similarity_row",
+            lambda *args, **kwargs: rows.append(args) or row(*args, **kwargs),
+        )
+        corpus = make_corpus([make_pr(f"p{i}", "a", T0 + i, [f"src/f{i}.c"]) for i in range(4)])
+        corpus.similarity_row(0, "components")
+        assert corpus._similarity["components"] == {}
+        sliced = corpus.slice_until(T0 + 2).similarity_row(1, "components")
+        assert list(corpus._similarity["components"]) == [1]
+        assert len(rows) == 2
+        np.testing.assert_array_equal(corpus.similarity_row(1, "components")[:2], sliced)
+        assert len(rows) == 2
 
 
 class TestArtifact:

@@ -1,10 +1,12 @@
 """Evaluation protocol: rounds, metrics, and the comparison bench."""
 
+import hashlib
 import math
 
 import pytest
 
 from hgrec import kernels
+from hgrec.cli import main
 from hgrec.corpus import ReviewCorpus, parse_timestamp
 from hgrec.errors import CorpusSpanError, UndefinedMetricError
 from hgrec.evaluation import (
@@ -21,7 +23,7 @@ from hgrec.evaluation import (
 )
 from hgrec.recommender import HypergraphRecommender, Recommendation
 
-from conftest import DAY, make_corpus, make_pr
+from conftest import DAY, load_synth, make_corpus, make_pr
 
 
 def monthly_corpus(n_months, prs_per_month=2, start="2019-01-01T00:00:00Z"):
@@ -134,6 +136,21 @@ class TestMakeRounds:
                 default=0,
             )
             assert latest < round_.train_cut
+
+    def test_train_reviewers_match_each_training_slice(self):
+        # tom's only comment lands after the first cut on a PR opened before
+        # it; ann's comments on her own PRs never make her a reviewer
+        corpus = monthly_corpus(16)
+        cut = make_rounds(corpus)[0].train_cut
+        late = make_pr(
+            "late", "ann", cut - DAY, ["src/a.c"], [("ann", cut - 1), ("tom", cut + DAY)]
+        )
+        corpus = make_corpus(corpus.prs + [late])
+        rounds = make_rounds(corpus)
+        assert [r.train_reviewers for r in rounds[:2]] == [2, 3]
+        for round_ in rounds:
+            train = corpus.slice_until(round_.train_cut)
+            assert round_.train_reviewers == len(train.reviewer_ids())
 
 
 class TestMetrics:
@@ -327,3 +344,20 @@ class TestRunComparison:
                 corpus,
                 [RecommenderSpec("x", factory), RecommenderSpec("x", factory)],
             )
+
+
+def test_benchmark_backtest_report_is_pinned(tmp_path):
+    """``evaluate`` on the benchmark's seed-1 backtest-hgrec corpus writes,
+    byte for byte, the report.csv whose sha256 the benchmark fingerprints."""
+    synth = load_synth()
+    records, _ = synth.generate(synth.Shape(prs=300, months=36), "1/0")
+    export, artifact, out = tmp_path / "export.jsonl", tmp_path / "corpus.json", tmp_path / "out"
+    export.write_text(synth.to_jsonl(records), encoding="utf-8")
+    assert main(["ingest", "--input", str(export), "--output", str(artifact)]) == 0
+    assert main([
+        "evaluate", "--corpus", str(artifact), "--recommenders", "hgrec",
+        "--jobs", "1", "--output-dir", str(out),
+    ]) == 0
+    assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == (
+        "8ea8db43c16b71e169c3c59f7a6e14e7f65efb1b96b63d215b6c2348085035d9"
+    )

@@ -1,6 +1,5 @@
 """Edge-weight formulas, normalization, and graph construction."""
 
-import importlib.util
 import math
 import random
 import sys
@@ -26,7 +25,7 @@ from hgrec.hypergraph import (
     weight_pr_reviewer,
 )
 
-from conftest import DAY, make_corpus, make_pr
+from conftest import DAY, load_synth, make_corpus, make_pr
 
 T0 = 1_600_000_000
 T1 = T0 + 100 * DAY  # corpus window used throughout
@@ -361,15 +360,7 @@ class TestBuild:
 
 def _synth_corpus():
     """A small corpus of the shape the benchmark generates."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_synth", REPO / "perfbench" / "synth.py"
-    )
-    synth = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = synth  # dataclass creation looks its module up
-    try:
-        spec.loader.exec_module(synth)
-    finally:
-        del sys.modules[spec.name]
+    synth = load_synth()
     records, _ = synth.generate(synth.Shape(prs=100, months=16), seed=7)
     return clean(parse_export(synth.to_jsonl(records).splitlines()))
 
