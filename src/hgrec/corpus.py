@@ -91,6 +91,7 @@ class ReviewCorpus:
     prs: list[PullRequest]
     t_start: int
     t_end: int
+    # Filled by comment_counts(), or by hypergraph.build's comment pass.
     _comment_counts: dict[str, int] | None = field(
         default=None, repr=False, compare=False
     )
@@ -126,16 +127,25 @@ class ReviewCorpus:
         return self._comment_counts
 
     def file_pack(self, unit: str) -> kernels.FilePack:
-        """Every PR's file set packed in corpus order; memoized per unit."""
+        """Every PR's file set packed in corpus order; memoized per unit. A
+        slice gathers its sets from the root's pack and shares its
+        vocabulary, which the kernel reads only for token equality."""
         if unit not in self._file_packs:
-            self._file_packs[unit] = kernels.FilePack.from_file_sets(
-                [pr.files for pr in self.prs], unit
-            )
+            if self._root is None:
+                pack = kernels.FilePack.from_file_sets(
+                    [pr.files for pr in self.prs], unit
+                )
+            else:
+                pack = self._root.file_pack(unit).take(self._positions)
+            self._file_packs[unit] = pack
         return self._file_packs[unit]
 
-    def similarity_row(self, index: int, unit: str) -> np.ndarray:
-        """``kernels.mean_similarity_row`` of PR ``index`` against every PR of
-        this corpus, as a fresh array.
+    def similarity_entries(
+        self, unit: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positive entries of every PR's ``kernels.mean_similarity_row``
+        against this corpus, row by row: the two PRs' indices in this corpus
+        (``rows`` ascending) and the similarity, as fresh arrays.
 
         Each row is computed once, against the root corpus, and kept sparse in
         the root's store for every slice of it. An entry depends only on the
@@ -147,21 +157,30 @@ class ReviewCorpus:
         """
         root = self._root or self
         at = self._positions
-        rows = root._similarity.setdefault(unit, {})
-        r = index if at is None else int(at[index])
-        if r not in rows:
-            pack = root.file_pack(unit)
-            full = kernels.mean_similarity_row(
-                *pack.slice_one(r), pack.tokens, pack.file_off, pack.set_off
-            )
-            if self._root is None:
-                return full
-            cols = np.flatnonzero(full > 0.0).astype(np.int32)
-            rows[r] = (cols, full[cols])
-        cols, values = rows[r]
-        row = np.zeros(len(root.prs))
-        row[cols] = values
-        return row if at is None else row[at]
+        store = root._similarity.setdefault(unit, {})
+        pack = root.file_pack(unit)
+        found = []
+        for r in range(len(self.prs)) if at is None else at.tolist():
+            entry = store.get(r)
+            if entry is None:
+                full = kernels.mean_similarity_row(
+                    *pack.slice_one(r), pack.tokens, pack.file_off, pack.set_off
+                )
+                cols = np.flatnonzero(full > 0.0).astype(np.int32)
+                entry = (cols, full[cols])
+                if self._root is not None:
+                    store[r] = entry
+            found.append(entry)
+        rows = np.repeat(np.arange(len(self.prs)), [len(c) for c, _ in found])
+        cols = np.concatenate([c for c, _ in found]).astype(np.int64)
+        values = np.concatenate([v for _, v in found])
+        if at is not None:
+            local = np.full(len(root.prs), -1)
+            local[at] = np.arange(len(self.prs))
+            cols = local[cols]
+            kept = cols >= 0
+            rows, cols, values = rows[kept], cols[kept], values[kept]
+        return rows, cols, values
 
     def stats(self) -> dict[str, int]:
         return {

@@ -332,7 +332,8 @@ def run_comparison(
     else:
         per_round = [_evaluate_round(corpus, r, specs, max_k) for r in rounds]
 
-    global_n = len(corpus.reviewer_ids())
+    # Only the global scope counts the reviewers of the whole corpus.
+    global_n = len(corpus.reviewer_ids()) if rd_scope == "global" else None
     rows: list[MetricRow] = []
     records: dict[tuple[str, int], list[PRRecord]] = {
         (label, r.index): per_round[i][label]
@@ -349,7 +350,7 @@ def run_comparison(
         if not round_.tests:
             continue
         n_reviewers = max(
-            2, global_n if rd_scope == "global" else round_.train_reviewers
+            2, round_.train_reviewers if global_n is None else global_n
         )
         for label in labels:
             recs = per_round[i][label]

@@ -12,14 +12,17 @@ mix of roles they played). Three hyperedge families connect them:
                   similarity damped by the time gap, kept only for each PR's
                   top-m strongest partners.
 
-Raw weights are min-max normalized per edge family.
+Raw weights are min-max normalized per edge family. A graph keeps its edges
+as a few flat arrays (``EdgeTable``) and its vertices as one ref -> index map
+per kind; ``Vertex`` and ``Hyperedge`` rows are made only when read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Set as AbstractSet
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,6 +44,13 @@ class EdgeKind(Enum):
     PR_PR = "pr_pr"
 
 
+# An edge's kind is stored as its position in this tuple.
+EDGE_KINDS = tuple(EdgeKind)
+_CONTRIBUTOR = EDGE_KINDS.index(EdgeKind.PR_CONTRIBUTOR)
+_REVIEWER = EDGE_KINDS.index(EdgeKind.PR_REVIEWER)
+_PR_PR = EDGE_KINDS.index(EdgeKind.PR_PR)
+
+
 @dataclass(frozen=True)
 class Vertex:
     kind: VertexKind
@@ -56,12 +66,79 @@ class Hyperedge:
     weight: float = float("nan")
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Every edge of a graph as flat arrays, in edge order: edge ``e`` has
+    kind ``EDGE_KINDS[kind[e]]``, the ascending vertex ids
+    ``members[offsets[e]:offsets[e + 1]]``, a raw weight and a normalized
+    weight (NaN until ``normalize_weights``). Two tables are equal when
+    their arrays are."""
+
+    kind: np.ndarray
+    offsets: np.ndarray
+    members: np.ndarray
+    raw: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def of(cls, kind, sizes, members, raw, weight=None) -> "EdgeTable":
+        """Table of edges given by kind codes, member counts, every edge's
+        members concatenated, and raw (and, if known, normalized) weights."""
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        raw = np.asarray(raw, dtype=np.float64)
+        return cls(
+            kind=np.asarray(kind, dtype=np.int8),
+            offsets=offsets,
+            members=np.asarray(members, dtype=np.int64),
+            raw=raw,
+            weight=(
+                np.full(len(raw), np.nan)
+                if weight is None
+                else np.asarray(weight, dtype=np.float64)
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, e: int) -> Hyperedge:
+        return Hyperedge(
+            kind=EDGE_KINDS[self.kind[e]],
+            members=tuple(self.members[self.offsets[e] : self.offsets[e + 1]].tolist()),
+            raw_weight=float(self.raw[e]),
+            weight=float(self.weight[e]),
+        )
+
+    def __iter__(self):
+        return (self[e] for e in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeTable):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in (
+                (self.kind, other.kind),
+                (self.offsets, other.offsets),
+                (self.members, other.members),
+                (self.raw, other.raw),
+                (self.weight, other.weight),
+            )
+        )
+
+
+    def ids(self, kind: EdgeKind) -> np.ndarray:
+        """Positions of the edges of one family, ascending."""
+        return np.flatnonzero(self.kind == EDGE_KINDS.index(kind))
+
+
 @dataclass(frozen=True)
 class PRIndex:
     """Per-PR arrays of the corpus a graph was built from, in corpus order:
-    the packed file sets, creation times, chronology rank (the top-m tie-break
-    of ``_top_partners``) and vertex index. A graft reads them instead of
-    re-deriving them from the corpus on every query."""
+    the packed file sets, creation times, chronology rank (the top-m
+    tie-break of ``_top_entries``) and vertex index. A graft reads them
+    instead of re-deriving them from the corpus on every query."""
 
     pack: kernels.FilePack
     times: np.ndarray
@@ -71,21 +148,47 @@ class PRIndex:
 
 @dataclass
 class Hypergraph:
-    vertices: list[Vertex]
-    edges: list[Hyperedge]
-    by_kind: dict[EdgeKind, list[int]]
+    """Vertices are interned per kind: ``prs`` and ``developers`` map a ref
+    to its vertex index, in index order.
+
+    An overlay (``base`` set) holds only what it appends to its base graph:
+    its vertices are numbered after the base's, and its edges, which
+    ``edges`` and ``by_kind`` index from 0, follow the base's."""
+
+    prs: dict[str, int]
+    developers: dict[str, int]
+    edges: EdgeTable
     bounds: tuple[int, int]
     raw_range: dict[EdgeKind, tuple[float, float]]
     params: HyperParams
-    vertex_ids: dict[tuple[VertexKind, str], int] = field(repr=False)
     pr_index: PRIndex | None = field(default=None, repr=False, compare=False)
+    base: "Hypergraph | None" = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        own = len(self.prs) + len(self.developers)
+        return own if self.base is None else self.base.n_vertices + own
 
     def vertex_index(self, kind: VertexKind, ref: str) -> int | None:
-        return self.vertex_ids.get((kind, ref))
+        index = (self.prs if kind is VertexKind.PR else self.developers).get(ref)
+        if index is None and self.base is not None:
+            return self.base.vertex_index(kind, ref)
+        return index
+
+    @property
+    def vertices(self) -> list[Vertex]:
+        """The vertex table in index order, the base's first."""
+        own = [Vertex(VertexKind.PR, ref, i) for ref, i in self.prs.items()]
+        own += [
+            Vertex(VertexKind.DEVELOPER, ref, i) for ref, i in self.developers.items()
+        ]
+        own.sort(key=lambda v: v.index)
+        return own if self.base is None else self.base.vertices + own
+
+    @property
+    def by_kind(self) -> dict[EdgeKind, list[int]]:
+        """Edge ids of each family, ascending."""
+        return {kind: self.edges.ids(kind).tolist() for kind in EdgeKind}
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +202,7 @@ def _span(t_start: int, t_end: int) -> float:
 
 def weight_pr_reviewer(
     pr: PullRequest,
-    reviewers: frozenset[str],
+    reviewers: AbstractSet[str],
     comment_decay: float,
     t_start: int,
     t_end: int,
@@ -112,15 +215,18 @@ def weight_pr_reviewer(
     and older activity decays exponentially over the dataset window.
     """
     span = _span(t_start, t_end)
-    total = 0.0
-    for reviewer in sorted(reviewers):
-        rank = 0
-        for comment in pr.comments:
-            if comment.author != reviewer:
-                continue
+    # One walk over the comments; the terms are then added reviewer by
+    # reviewer (sorted), each reviewer's in comment order.
+    terms: dict[str, list[float]] = {}
+    for comment in pr.comments:
+        if comment.author in reviewers:
+            seen = terms.setdefault(comment.author, [])
             exponent = (comment.created_at - t_end) / span if span else 0.0
-            total += comment_decay**rank * math.exp(exponent)
-            rank += 1
+            seen.append(comment_decay ** len(seen) * math.exp(exponent))
+    total = 0.0
+    for reviewer in sorted(terms):
+        for term in terms[reviewer]:
+            total += term
     return total
 
 
@@ -182,16 +288,15 @@ def normalize_weights(graph: Hypergraph) -> Hypergraph:
     A family whose raw weights are all equal maps to 1.0 everywhere,
     preserving its connectivity instead of erasing it.
     """
-    for kind, edge_ids in graph.by_kind.items():
-        if not edge_ids:
+    edges = graph.edges
+    for kind in EdgeKind:
+        ids = edges.ids(kind)
+        if not ids.size:
             continue
-        raws = [graph.edges[i].raw_weight for i in edge_ids]
-        lo, hi = min(raws), max(raws)
+        raws = edges.raw[ids]
+        lo, hi = float(raws.min()), float(raws.max())
         graph.raw_range[kind] = (lo, hi)
-        for i in edge_ids:
-            edge = graph.edges[i]
-            scaled = (edge.raw_weight - lo) / (hi - lo) if hi > lo else 1.0
-            graph.edges[i] = replace(edge, weight=scaled)
+        edges.weight[ids] = (raws - lo) / (hi - lo) if hi > lo else 1.0
     return graph
 
 
@@ -210,32 +315,34 @@ def scale_into_range(raw: float, raw_range: tuple[float, float] | None) -> float
 # Construction.
 
 
-def pr_pr_raw_row(
-    sims: np.ndarray, times: np.ndarray, span: float, t_created: int
-) -> np.ndarray:
-    """Raw pr_pr weights of one (possibly external) PR created at
-    ``t_created`` against the PRs created at ``times``: its kernel row
-    ``sims``, damped in place by the time gaps."""
+def pr_pr_raw_row(sims: np.ndarray, times, span: float, t_created) -> np.ndarray:
+    """Raw pr_pr weights: kernel entries ``sims`` between PRs created at
+    ``times`` and PRs created at ``t_created`` (one time, or one per entry),
+    damped in place by the time gaps."""
     if span:
         sims *= np.exp(-np.abs(times - t_created) / span)
     return sims
 
 
-def _top_partners(
-    raw: np.ndarray, order_rank: np.ndarray, top_m: int, skip: int | None = None
-) -> list[int]:
-    """Indices of the up-to-top_m largest positive entries of ``raw``.
+def _top_entries(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    raw: np.ndarray,
+    chronology: np.ndarray,
+    top_m: int,
+) -> np.ndarray:
+    """Positions of the up-to-top_m largest positive entries of each row,
+    rows ascending, each row's strongest first.
 
-    Ties are broken toward older PRs first, then lexicographic id; both are
-    encoded in order_rank (smaller = older/earlier id).
+    Ties are broken toward older partners first, then lexicographic id;
+    both are encoded in ``chronology`` (smaller = older/earlier id).
     """
-    candidates = np.flatnonzero(raw > 0.0)
-    if skip is not None:
-        candidates = candidates[candidates != skip]
-    if candidates.size == 0:
-        return []
-    order = np.lexsort((order_rank[candidates], -raw[candidates]))
-    return candidates[order[:top_m]].tolist()
+    live = np.flatnonzero(raw > 0.0)
+    live = live[np.lexsort((chronology[cols[live]], -raw[live], rows[live]))]
+    ranked = rows[live]
+    # An entry's place in its row: its position minus its row's first.
+    place = np.arange(len(live)) - np.searchsorted(ranked, ranked)
+    return live[place < top_m]
 
 
 def _chronology_rank(prs: list[PullRequest]) -> np.ndarray:
@@ -251,88 +358,102 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
 
     Vertices are added in corpus order (PR, then its contributor, then its
     reviewers sorted by id), so two builds from equal inputs are identical.
+    Edges follow the same order (each PR's contributor edge, then its
+    reviewer edge), then the pr_pr edges sorted by PR pair. The one pass
+    over the comments also counts each author's comments, which it leaves
+    as the corpus's ``comment_counts``.
     """
     if not corpus.prs:
         raise EmptyCorpusError("cannot build a hypergraph from an empty corpus")
 
-    vertices: list[Vertex] = []
-    vertex_ids: dict[tuple[VertexKind, str], int] = {}
+    prs: dict[str, int] = {}
+    developers: dict[str, int] = {}
 
-    def intern(kind: VertexKind, ref: str) -> int:
-        key = (kind, ref)
-        index = vertex_ids.get(key)
+    def developer(ref: str) -> int:
+        index = developers.get(ref)
         if index is None:
-            index = len(vertices)
-            vertex_ids[key] = index
-            vertices.append(Vertex(kind=kind, ref=ref, index=index))
+            index = developers[ref] = len(prs) + len(developers)
         return index
 
-    edges: list[Hyperedge] = []
-    by_kind: dict[EdgeKind, list[int]] = {kind: [] for kind in EdgeKind}
-
-    def add_edge(kind: EdgeKind, members: tuple[int, ...], raw: float) -> None:
-        by_kind[kind].append(len(edges))
-        edges.append(Hyperedge(kind=kind, members=members, raw_weight=raw))
-
+    counts: dict[str, int] = {}
+    kinds: list[int] = []
+    sizes: list[int] = []
+    members: list[int] = []
+    raws: list[float] = []
+    pr_vertices: list[int] = []
     t_start, t_end = corpus.t_start, corpus.t_end
     for pr in corpus.prs:
-        pr_v = intern(VertexKind.PR, pr.id)
-        contributor_v = intern(VertexKind.DEVELOPER, pr.contributor)
-        add_edge(
-            EdgeKind.PR_CONTRIBUTOR,
-            tuple(sorted((pr_v, contributor_v))),
-            weight_pr_contributor(pr, t_start, t_end),
-        )
-        reviewers = pr.reviewers()
+        pr_v = prs.setdefault(pr.id, len(prs) + len(developers))
+        pr_vertices.append(pr_v)
+        contributor_v = developer(pr.contributor)
+        kinds.append(_CONTRIBUTOR)
+        sizes.append(2)
+        members.extend(sorted((pr_v, contributor_v)))
+        raws.append(weight_pr_contributor(pr, t_start, t_end))
+        reviewers = set()
+        for comment in pr.comments:
+            counts[comment.author] = counts.get(comment.author, 0) + 1
+            if comment.author != pr.contributor:
+                reviewers.add(comment.author)
         if reviewers:
-            member_ids = [intern(VertexKind.DEVELOPER, r) for r in sorted(reviewers)]
-            add_edge(
-                EdgeKind.PR_REVIEWER,
-                tuple(sorted((pr_v, *member_ids))),
+            member_ids = [developer(r) for r in sorted(reviewers)]
+            kinds.append(_REVIEWER)
+            sizes.append(len(member_ids) + 1)
+            members.extend(sorted((pr_v, *member_ids)))
+            raws.append(
                 weight_pr_reviewer(
                     pr, reviewers, params.comment_decay, t_start, t_end
-                ),
+                )
             )
+    corpus._comment_counts = counts
 
-    # Pairwise PR links: evaluate every pair once per endpoint, keep an edge
-    # when either endpoint ranks it within its own top-m, dedup to one edge
-    # per unordered pair. Zero-weight pairs are never materialized. Kernel
-    # rows come from the corpus's shared store; damping follows this window.
+    # Pairwise PR links: every stored kernel entry of the corpus, damped by
+    # this window's time gaps; a pair becomes an edge when either endpoint
+    # ranks it within its own top-m. Zero-weight pairs never qualify.
     unit = params.similarity_unit
     times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
-    span = _span(t_start, t_end)
     order_rank = _chronology_rank(corpus.prs)
-    pr_vertices = [vertex_ids[(VertexKind.PR, pr.id)] for pr in corpus.prs]
-
-    pair_weights: dict[tuple[int, int], float] = {}
-    for i, pr in enumerate(corpus.prs):
-        raw = pr_pr_raw_row(corpus.similarity_row(i, unit), times, span, pr.created_at)
-        for j in _top_partners(raw, order_rank, params.top_m, skip=i):
-            pair = (i, j) if i < j else (j, i)
-            pair_weights.setdefault(pair, float(raw[j]))
-
-    for (i, j), raw_weight in sorted(pair_weights.items()):
-        add_edge(
-            EdgeKind.PR_PR, tuple(sorted((pr_vertices[i], pr_vertices[j]))), raw_weight
-        )
+    rows, cols, sims = corpus.similarity_entries(unit)
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    raw = pr_pr_raw_row(
+        sims[off_diagonal], times[cols], _span(t_start, t_end), times[rows]
+    )
+    top = _top_entries(rows, cols, raw, order_rank, params.top_m)
+    rows, cols, raw = rows[top], cols[top], raw[top]
+    # One edge per pair, sorted by pair. Rows come ascending, so the stable
+    # sort puts the entry of the pair's first PR ahead when both chose it.
+    pair = np.minimum(rows, cols) * len(corpus.prs) + np.maximum(rows, cols)
+    order = np.argsort(pair, kind="stable")
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = pair[order][1:] != pair[order][:-1]
+    first = order[fresh]
+    vertex_of = np.asarray(pr_vertices, dtype=np.int64)
+    ends = vertex_of[rows[first]], vertex_of[cols[first]]
+    pairs = np.stack((np.minimum(*ends), np.maximum(*ends)), axis=1)
 
     graph = Hypergraph(
-        vertices=vertices,
-        edges=edges,
-        by_kind=by_kind,
+        prs=prs,
+        developers=developers,
+        edges=EdgeTable.of(
+            np.concatenate((kinds, np.full(len(first), _PR_PR))),
+            np.concatenate((sizes, np.full(len(first), 2))),
+            np.concatenate((members, pairs.ravel())),
+            np.concatenate((raws, raw[first])),
+        ),
         bounds=(t_start, t_end),
         raw_range={},
         params=params,
-        vertex_ids=vertex_ids,
-        pr_index=PRIndex(
-            corpus.file_pack(unit), times, order_rank, np.asarray(pr_vertices)
-        ),
+        pr_index=PRIndex(corpus.file_pack(unit), times, order_rank, vertex_of),
     )
     return normalize_weights(graph)
 
 
 def graph_to_dict(graph: Hypergraph) -> dict:
     """JSON-ready dump of the vertex and edge tables (bit-exact per build)."""
+    edges = graph.edges
+    members = edges.members.tolist()
+    offsets = edges.offsets.tolist()
     return {
         "bounds": list(graph.bounds),
         "vertices": [
@@ -341,11 +462,13 @@ def graph_to_dict(graph: Hypergraph) -> dict:
         ],
         "edges": [
             {
-                "kind": e.kind.value,
-                "members": list(e.members),
-                "raw_weight": e.raw_weight,
-                "weight": e.weight,
+                "kind": EDGE_KINDS[kind].value,
+                "members": members[offsets[e] : offsets[e + 1]],
+                "raw_weight": raw,
+                "weight": weight,
             }
-            for e in graph.edges
+            for e, (kind, raw, weight) in enumerate(
+                zip(edges.kind.tolist(), edges.raw.tolist(), edges.weight.tolist())
+            )
         ],
     }

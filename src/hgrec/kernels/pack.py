@@ -92,6 +92,23 @@ class FilePack:
             np.asarray(offsets, dtype=np.int64),
         )
 
+    def take(self, sets: np.ndarray) -> "FilePack":
+        """The sets at ``sets``, in that order, over this pack's vocabulary."""
+        sizes = np.diff(self.set_off)[sets]
+        set_off = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=set_off[1:])
+        files = np.arange(set_off[-1]) + np.repeat(
+            self.set_off[sets] - set_off[:-1], sizes
+        )
+        lens = np.diff(self.file_off)[files]
+        file_off = np.zeros(len(files) + 1, dtype=np.int64)
+        np.cumsum(lens, out=file_off[1:])
+        tokens = self.tokens[
+            np.arange(file_off[-1])
+            + np.repeat(self.file_off[files] - file_off[:-1], lens)
+        ]
+        return FilePack(self.unit, tokens, file_off, set_off, self.vocab)
+
     def slice_one(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """View of set ``index`` rebased to local offsets."""
         f_lo = self.set_off[index]

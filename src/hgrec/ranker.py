@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .config import DIRECT_SOLVER_MAX_VERTICES, HyperParams
 from .errors import ConfigError, ConvergenceError, NoEdgesError, SolverError
-from .hypergraph import Hypergraph
+from .hypergraph import EdgeTable, Hypergraph
 
 # A direct solve must reproduce its right-hand side to this relative bound.
 RESIDUAL_BOUND = 1e-10
@@ -52,7 +52,6 @@ class RankingSystem:
     kernel: sp.coo_matrix | None
     vertex_degree: np.ndarray
     alpha: float
-    n_edges: int
     # SuperLU factor of S in a fill-reducing order: made when a base system
     # is assembled ``ordered``, else at its first direct solve.
     factor: spla.SuperLU | None = field(default=None, repr=False)
@@ -73,15 +72,15 @@ class RankingSystem:
         return self.vertex_degree <= 0.0
 
 
-def _edge_terms(edges, n_vertices: int):
+def _edge_terms(edges: EdgeTable, n_vertices: int):
     """Degree and (row, col, value) kernel triplets of ``edges``.
 
     Every ordered member pair (u, v) of an edge, u == v included, carries
     weight / size: the terms of K = H W De^-1 H^T.
     """
-    sizes = np.array([len(e.members) for e in edges], dtype=np.int64)
-    weights = np.array([e.weight for e in edges], dtype=np.float64)
-    members = np.array([v for e in edges for v in e.members], dtype=np.int64)
+    sizes = np.diff(edges.offsets)
+    weights = edges.weight
+    members = edges.members
     degree = np.bincount(
         members, weights=np.repeat(weights, sizes), minlength=n_vertices
     )
@@ -106,24 +105,25 @@ def assemble(
     factor of its S in a fill-reducing order, which every direct solve of
     the system and of its updates reads.
 
-    With ``base``, the system of a graph that ``graph`` extends by appended
-    vertices and edges. Every appended edge holds an appended vertex, so the
-    appended edges change S only on the vertices they reach. On a factored
-    base only that change is kept, as an update; otherwise the appended
-    edges border the base kernel and degrees.
+    With ``base``, the system of an overlay ``graph`` on the base's graph:
+    its appended vertices and edges. Every appended edge holds an appended
+    vertex, so the appended edges change S only on the vertices they reach.
+    On a factored base only that change is kept, as an update; otherwise the
+    appended edges border the base kernel and degrees.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if not graph.edges:
+    if not len(graph.edges):
         raise NoEdgesError("hypergraph has no edges")
+    if (base is None) != (graph.base is None):
+        raise ValueError("an overlay needs its base's system, and only an overlay")
 
     n_v = graph.n_vertices
-    edges = graph.edges if base is None else graph.edges[base.n_edges:]
-    degree, rows, cols, values = _edge_terms(edges, n_v)
+    degree, rows, cols, values = _edge_terms(graph.edges, n_v)
     if base is None:
         kernel = sp.coo_matrix((values, (rows, cols)), shape=(n_v, n_v))
         kernel.sum_duplicates()
-        system = RankingSystem(kernel, degree, alpha, n_edges=len(graph.edges))
+        system = RankingSystem(kernel, degree, alpha)
         if ordered:
             _factor(system)
         return system
@@ -140,7 +140,7 @@ def assemble(
             ),
             shape=(n_v, n_v),
         )
-        return RankingSystem(kernel, degree, alpha, n_edges=len(graph.edges))
+        return RankingSystem(kernel, degree, alpha)
 
     touched = np.union1d(rows, np.arange(n_base, n_v))
     # W = S - blockdiag(S0, I) on touched: the appended kernel terms, the
@@ -158,8 +158,7 @@ def assemble(
         added[touched] + (degree[touched] <= 0.0) - before[touched]
     )
     return RankingSystem(
-        None, degree, alpha, n_edges=len(graph.edges),
-        base=base, touched=touched, update=update,
+        None, degree, alpha, base=base, touched=touched, update=update
     )
 
 

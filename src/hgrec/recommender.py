@@ -3,10 +3,10 @@
 A fit builds the base graph and everything every query reads: its ranking
 system (kernel, degrees and, for the direct solver, the factor of S) and the
 candidate developers. A recommendation never mutates that state: the target
-PR (and its contributor, when new) is added to a shallow overlay copy,
-connected by one contributor edge plus its top-m strongest similar-PR edges;
-those appended vertices and edges update the base system, which is solved
-against the base factor. The developer vertices are ranked by
+PR (and its contributor, when new) is added in an overlay that holds only
+those vertices and their edges: one contributor edge plus the target's
+top-m strongest similar-PR edges. They update the base system, which is
+solved against the base factor. The developer vertices are ranked by
 ``rank_developers``, the one ranking rule every recommender shares.
 """
 
@@ -22,16 +22,16 @@ from .config import HyperParams
 from .corpus import ReviewCorpus, TargetPR
 from .errors import HgrecError
 from .hypergraph import (
+    EDGE_KINDS,
     EdgeKind,
-    Hyperedge,
+    EdgeTable,
     Hypergraph,
-    Vertex,
     VertexKind,
     pr_pr_raw_row,
     scale_into_range,
     weight_pr_contributor,
     _span,
-    _top_partners,
+    _top_entries,
 )
 
 
@@ -72,12 +72,13 @@ def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitS
     system = ranker.assemble(
         base, params.alpha, ordered=ranker.uses_direct(params, base.n_vertices)
     )
-    developers = [v for v in base.vertices if v.kind is VertexKind.DEVELOPER]
     return FitState(
         graph=base,
         system=system,
-        developer_ids=tuple(v.ref for v in developers),
-        developer_vertices=np.asarray([v.index for v in developers], dtype=np.int64),
+        developer_ids=tuple(base.developers),
+        developer_vertices=np.fromiter(
+            base.developers.values(), dtype=np.int64, count=len(base.developers)
+        ),
         comment_counts=corpus.comment_counts(),
     )
 
@@ -85,51 +86,28 @@ def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitS
 def graft(state: FitState, target: TargetPR) -> Hypergraph:
     """Overlay the target PR onto the base graph.
 
-    The target always becomes a new PR vertex, appended after the base
-    vertices (as does its contributor, when new), and every new edge is
-    appended after the base edges. The dataset end bound is extended to the
-    target's creation time when it postdates the corpus, keeping every time
-    ratio in range. New edge weights are projected onto the base graph's
-    per-family normalization scale so they are comparable with existing
-    weights.
+    The overlay holds only what the target adds: a new PR vertex after the
+    base vertices (and its contributor, when new), one contributor edge and
+    the target's top-m pr_pr edges, strongest first. The dataset end bound is
+    extended to the target's creation time when it postdates the corpus,
+    keeping every time ratio in range. New edge weights are projected onto
+    the base graph's per-family normalization scale so they are comparable
+    with existing weights.
     """
     base = state.graph
     if not target.files:
         raise HgrecError(f"target PR {target.id!r} has no files")
-    if base.vertex_index(VertexKind.PR, target.id) is not None:
+    if target.id in base.prs:
         raise HgrecError(f"target id {target.id!r} is already a PR of the corpus")
 
     t_start = base.bounds[0]
     t_end = max(base.bounds[1], target.created_at)
 
-    vertices = list(base.vertices)
-    vertex_ids = dict(base.vertex_ids)
-    edges = list(base.edges)
-    by_kind = {kind: list(ids) for kind, ids in base.by_kind.items()}
-
-    def intern(kind: VertexKind, ref: str) -> int:
-        key = (kind, ref)
-        index = vertex_ids.get(key)
-        if index is None:
-            index = len(vertices)
-            vertex_ids[key] = index
-            vertices.append(Vertex(kind=kind, ref=ref, index=index))
-        return index
-
-    def add_edge(kind: EdgeKind, members: tuple[int, ...], raw: float) -> None:
-        weight = scale_into_range(raw, base.raw_range.get(kind))
-        by_kind[kind].append(len(edges))
-        edges.append(
-            Hyperedge(kind=kind, members=members, raw_weight=raw, weight=weight)
-        )
-
-    pr_v = intern(VertexKind.PR, target.id)
-    contributor_v = intern(VertexKind.DEVELOPER, target.contributor)
-    add_edge(
-        EdgeKind.PR_CONTRIBUTOR,
-        tuple(sorted((pr_v, contributor_v))),
-        weight_pr_contributor(target, t_start, t_end),
-    )
+    pr_v = base.n_vertices
+    developers = {}
+    contributor_v = base.developers.get(target.contributor)
+    if contributor_v is None:
+        contributor_v = developers[target.contributor] = pr_v + 1
 
     index = base.pr_index
     pack = index.pack
@@ -137,21 +115,37 @@ def graft(state: FitState, target: TargetPR) -> Hypergraph:
         *pack.pack_one(target.files), pack.tokens, pack.file_off, pack.set_off
     )
     raw = pr_pr_raw_row(sims, index.times, _span(t_start, t_end), target.created_at)
-    for j in _top_partners(raw, index.chronology, base.params.top_m):
-        partner_v = int(index.vertices[j])
-        add_edge(
-            EdgeKind.PR_PR, tuple(sorted((pr_v, partner_v))), float(raw[j])
-        )
-
+    partners = _top_entries(
+        np.zeros(len(raw), dtype=np.int64),
+        np.arange(len(raw)),
+        raw,
+        index.chronology,
+        base.params.top_m,
+    )
+    # Every appended edge pairs the target with one vertex: its contributor,
+    # or a partner PR, which as a base vertex precedes it.
+    kinds = [EdgeKind.PR_CONTRIBUTOR] + [EdgeKind.PR_PR] * len(partners)
+    raws = [weight_pr_contributor(target, t_start, t_end), *raw[partners].tolist()]
+    members = sorted((pr_v, contributor_v))
+    for partner_v in index.vertices[partners].tolist():
+        members += (partner_v, pr_v)
     return Hypergraph(
-        vertices=vertices,
-        edges=edges,
-        by_kind=by_kind,
+        prs={target.id: pr_v},
+        developers=developers,
+        edges=EdgeTable.of(
+            [EDGE_KINDS.index(kind) for kind in kinds],
+            [2] * len(kinds),
+            members,
+            raws,
+            [
+                scale_into_range(r, base.raw_range.get(kind))
+                for kind, r in zip(kinds, raws)
+            ],
+        ),
         bounds=(t_start, t_end),
-        raw_range=dict(base.raw_range),
+        raw_range=base.raw_range,
         params=base.params,
-        vertex_ids=vertex_ids,
-        pr_index=index,
+        base=base,
     )
 
 

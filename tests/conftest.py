@@ -11,7 +11,7 @@ import pytest
 
 from hgrec.config import HyperParams
 from hgrec.corpus import PullRequest, ReviewComment, ReviewCorpus
-from hgrec.hypergraph import EdgeKind, Hyperedge, Hypergraph, Vertex, VertexKind
+from hgrec.hypergraph import EDGE_KINDS, EdgeKind, EdgeTable, Hypergraph
 
 DAY = 86400
 REPO = Path(__file__).resolve().parent.parent
@@ -70,30 +70,21 @@ def make_graph(n_vertices, edges, params=None):
 
     Weights are taken as already normalized; raw weights are set equal.
     """
-    vertices = [
-        Vertex(kind=VertexKind.DEVELOPER, ref=f"v{i}", index=i)
-        for i in range(n_vertices)
-    ]
-    edge_objs = []
-    by_kind = {kind: [] for kind in EdgeKind}
-    for kind, members, weight in edges:
-        by_kind[kind].append(len(edge_objs))
-        edge_objs.append(
-            Hyperedge(
-                kind=kind,
-                members=tuple(sorted(members)),
-                raw_weight=weight,
-                weight=weight,
-            )
-        )
+    members = [tuple(sorted(m)) for _, m, _ in edges]
+    weights = [w for _, _, w in edges]
     return Hypergraph(
-        vertices=vertices,
-        edges=edge_objs,
-        by_kind=by_kind,
+        prs={},
+        developers={f"v{i}": i for i in range(n_vertices)},
+        edges=EdgeTable.of(
+            [EDGE_KINDS.index(kind) for kind, _, _ in edges],
+            [len(m) for m in members],
+            [v for m in members for v in m],
+            weights,
+            weights,
+        ),
         bounds=(0, 1),
         raw_range={},
         params=params or HyperParams(),
-        vertex_ids={(v.kind, v.ref): v.index for v in vertices},
     )
 
 

@@ -1,0 +1,94 @@
+"""The benchmark still measures what it names.
+
+perfbench's tracer skips, silently, a function it can no longer find, and
+its shape metrics read the built graph. These checks load
+``perfbench/run.py`` as it is and fail where it would quietly read nothing.
+"""
+
+import importlib.util
+import json
+import sys
+
+import pytest
+
+from hgrec.config import HyperParams
+from hgrec.corpus import clean, parse_export
+from hgrec.fixtures import BOT_PATTERN
+from hgrec.hypergraph import EdgeKind
+
+from conftest import REPO
+
+FIXTURE = REPO / "tests" / "data" / "review_history_50pr.jsonl"
+# Suffixes of the per-layer metrics that perfbench derives from one
+# function's spans; the rest of the name is the function's span name.
+SPAN_SUFFIXES = (".calls", ".s", ".self_s", ".untraced_share")
+
+
+def load_run():
+    """``perfbench/run.py`` as a module, leaving ``sys.path`` and
+    ``sys.modules`` as they were."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    helpers = {name: sys.modules.get(name) for name in ("clock", "spans", "synth")}
+    sys.modules[spec.name] = run  # dataclass creation looks its module up
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path[:] = path
+        del sys.modules[spec.name]
+        for name, module in helpers.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+    return run
+
+
+@pytest.fixture
+def tracing():
+    """perfbench's tracer, installed on hgrec, and the names it wrapped."""
+    run = load_run()
+    tracer = run.Tracer()
+    wrapped = run.install_tracer(tracer)
+    try:
+        yield run, tracer, wrapped
+    finally:
+        tracer.uninstall()
+
+
+def test_every_per_layer_function_is_wrapped(tracing):
+    _, _, wrapped = tracing
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    roots = {
+        name[: -len(suffix)]
+        for name in (metric["name"] for metric in spec["per_layer"])
+        for suffix in SPAN_SUFFIXES
+        if name.endswith(suffix)
+    }
+    assert {
+        "hypergraph.build",
+        "hypergraph.normalize_weights",
+        "recommender.graft",
+        "ranker.assemble",
+    } <= roots
+    assert sorted(roots - set(wrapped)) == []
+
+
+def test_graph_shape_metrics_read_a_built_graph(tracing):
+    run, tracer, wrapped = tracing
+    import hgrec.hypergraph as hypergraph
+
+    with open(FIXTURE, encoding="utf-8") as handle:
+        corpus = clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
+    graph = hypergraph.build(corpus, HyperParams())  # the traced build
+
+    families = {kind.value: len(ids) for kind, ids in graph.by_kind.items()}
+    assert set(families) == {kind.value for kind in EdgeKind}
+    assert sum(families.values()) == len(graph.edges) > 0
+    metrics = run.layer_metrics(tracer, wrapped)
+    assert metrics["hypergraph.build.calls"] == 1
+    assert metrics["hypergraph.vertices"] == graph.n_vertices > 0
+    for kind, count in families.items():
+        assert metrics[f"hypergraph.edges.{kind}"] == count
+    assert families["pr_pr"] > 0

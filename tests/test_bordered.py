@@ -48,12 +48,14 @@ def random_corpus(rng, n_prs=40, single_instant=False):
 
 
 def oracle_scores(graph, target, alpha):
-    """Solve (I - alpha * A) f = y with A assembled from the edge list."""
+    """Solve (I - alpha * A) f = y with A assembled from the edge list of
+    the grafted graph: the base's edges, then the overlay's."""
     n = graph.n_vertices
-    incidence = np.zeros((n, len(graph.edges)))
-    for e, edge in enumerate(graph.edges):
+    edges = [*graph.base.edges, *graph.edges]
+    incidence = np.zeros((n, len(edges)))
+    for e, edge in enumerate(edges):
         incidence[list(edge.members), e] = 1.0
-    weights = np.array([edge.weight for edge in graph.edges])
+    weights = np.array([edge.weight for edge in edges])
     sizes = incidence.sum(axis=0)
     degree = incidence @ weights
     inv = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
@@ -82,7 +84,7 @@ def check_query(corpus, target, params=HyperParams(), k=5):
     # the query updates the base factor on the grafted vertices and on the
     # base vertices their edges reach
     assert system.base is state.system
-    reached = {v for edge in graph.edges[len(base.edges):] for v in edge.members}
+    reached = {v for edge in graph.edges for v in edge.members}
     grafted = set(range(base.n_vertices, graph.n_vertices))
     assert system.touched.tolist() == sorted(reached | grafted)
 

@@ -322,13 +322,19 @@ class TestSlices:
             lambda *args, **kwargs: rows.append(args) or row(*args, **kwargs),
         )
         corpus = make_corpus([make_pr(f"p{i}", "a", T0 + i, [f"src/f{i}.c"]) for i in range(4)])
-        corpus.similarity_row(0, "components")
+        whole = corpus.similarity_entries("components")
         assert corpus._similarity["components"] == {}
-        sliced = corpus.slice_until(T0 + 2).similarity_row(1, "components")
-        assert list(corpus._similarity["components"]) == [1]
-        assert len(rows) == 2
-        np.testing.assert_array_equal(corpus.similarity_row(1, "components")[:2], sliced)
-        assert len(rows) == 2
+        assert len(rows) == 4
+        sliced = corpus.slice_until(T0 + 2).similarity_entries("components")
+        assert list(corpus._similarity["components"]) == [0, 1]
+        assert len(rows) == 6
+        again = corpus.similarity_entries("components")
+        assert len(rows) == 8  # rows 2 and 3 were never stored
+        for got in (whole, again):
+            head = got[0] < 2
+            head &= got[1] < 2
+            for a, b in zip(sliced, got):
+                np.testing.assert_array_equal(a, b[head])
 
 
 class TestArtifact:

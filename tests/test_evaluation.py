@@ -308,6 +308,24 @@ class TestRunComparison:
         )
         assert cuts == [r.train_cut for r in report.rounds]
 
+    @pytest.mark.parametrize("scope", ["round", "global"])
+    def test_corpus_reviewers_counted_only_for_global_rd(self, monkeypatch, scope):
+        calls = []
+        reviewer_ids = ReviewCorpus.reviewer_ids
+        monkeypatch.setattr(
+            ReviewCorpus, "reviewer_ids",
+            lambda corpus: calls.append(corpus) or reviewer_ids(corpus),
+        )
+        corpus = monthly_corpus(16)
+        report = run_comparison(
+            corpus,
+            [RecommenderSpec("const", lambda: _ConstantRecommender(["rex", "sue"]))],
+            ks=(3,),
+            rd_scope=scope,
+        )
+        assert calls == ([corpus] if scope == "global" else [])
+        assert [row.rd for row in report.rows] == [1.0] * len(report.rows)
+
     def test_one_kernel_row_per_corpus_pr_and_test_pr(self, monkeypatch):
         # Every round's build reads the rows of the backtest's one store; only
         # each query's graft computes a row of its own.

@@ -1,5 +1,7 @@
 """Edge-weight formulas, normalization, and graph construction."""
 
+import hashlib
+import json
 import math
 import random
 import sys
@@ -157,11 +159,7 @@ class TestNormalizeWeights:
         )
         graph = build(corpus, HyperParams(top_m=1))
         kind = EdgeKind.PR_CONTRIBUTOR
-        for j, edge_id in enumerate(graph.by_kind[kind]):
-            edge = graph.edges[edge_id]
-            graph.edges[edge_id] = type(edge)(
-                kind=edge.kind, members=edge.members, raw_weight=raws[j]
-            )
+        graph.edges.raw[graph.by_kind[kind]] = raws
         return normalize_weights(graph), kind
 
     def test_affine_map(self):
@@ -188,19 +186,14 @@ class TestNormalizeWeights:
         )
     )
     def test_minmax_bounds_property(self, raws):
-        from hgrec.hypergraph import EdgeKind as EK, Hyperedge
+        from hgrec.hypergraph import EdgeKind as EK
 
         from conftest import make_graph
 
         graph = make_graph(
             len(raws) + 1,
-            [(EK.PR_PR, (i, i + 1), 0.0) for i in range(len(raws))],
+            [(EK.PR_PR, (i, i + 1), raw) for i, raw in enumerate(raws)],
         )
-        for edge_id, raw in zip(graph.by_kind[EK.PR_PR], raws):
-            edge = graph.edges[edge_id]
-            graph.edges[edge_id] = Hyperedge(
-                kind=edge.kind, members=edge.members, raw_weight=raw
-            )
         normalize_weights(graph)
         weights = [graph.edges[i].weight for i in graph.by_kind[EK.PR_PR]]
         assert all(0.0 <= w <= 1.0 for w in weights)
@@ -429,3 +422,49 @@ class TestSharedSimilarityStore:
             sys.setswitchinterval(interval)
         for corpus, graph in zip(slices, graphs):
             assert graph_to_dict(graph) == graph_to_dict(build(_fresh(corpus), params))
+
+
+# ---------------------------------------------------------------------------
+# Graph identity, pinned: sha256 of the sorted-key JSON dump of each graph of
+# the bundled fixture, computed before edges were stored as arrays.
+
+PINNED_GRAPHS = {
+    "components": {
+        "full": "b208a876ca61c20fe14f226b750a5a59ea7103eca9fef5573936f31a550200c8",
+        1: "aec9cc04f16db2fbac2db7dab79cf827f0817fe7c0a032ea7cc306f96a7f741f",
+        2: "5b7ea0e197b807266b73be42ef3e526a1d4df46660f780efd5708c0b06d48edb",
+        3: "baeff424fdd19d7a08fce4dd351dfa4c322f19e354b5314456dde260e5adc604",
+        4: "421443dfbe71732c56e03bf2ea350beda5179024e2ee965ac25f05d64075f055",
+        5: "9a128288194121458ef71f7889286017c6d8199203b440acc34572a6678efd42",
+        6: "0d6a432a8ffed4f267606c841ce1b86cff447c23ea944f168d93ffff5ed0a0fc",
+        7: "34a4854fc637f41585d9a5694187f7743d94a2525d32533fb822b36785780cf7",
+    },
+    "chars": {
+        "full": "e6255e57aead016a97981bc8f67ea9c6b8a55001ce3cd1d8982dcdb549b593da",
+        1: "872d4f48f36e36f7a36fb4305f8b5bcae6720561b515a47a36e1c313f8f56cc3",
+        2: "4068ae38dcc42883c2da0fd646986db72cec8a6893b4804e3749421f6abc9e38",
+        3: "4280157d2a784670c80f3f2675f97bb6139fcf3381b82bd4a0165a5a8a87d3a4",
+        4: "7dc15549c40203b7824348ef772db4e32f465fd5c9ad66163ea3f10e10e641a6",
+        5: "8916949425ec58430e1f79bc8cb63acd202ade18c37d40056fa8d6893f0ff960",
+        6: "32b874f4c6ff390f0d678883794d73af1262926a060a03cfcda46eaec5da5156",
+        7: "05e41f032ba8940e8bddb10290e18641c4e9c599b2a7decd8904c7a28c4784dc",
+    },
+}
+
+
+def _graph_sha256(corpus, unit):
+    graph = build(corpus, HyperParams(similarity_unit=unit))
+    text = json.dumps(graph_to_dict(graph), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("unit", SIMILARITY_UNITS)
+def test_fixture_graphs_are_pinned(unit):
+    """The whole fixture and every training window of its backtest build
+    byte-identical graphs."""
+    with open(FIXTURE, encoding="utf-8") as handle:
+        corpus = clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
+    got = {"full": _graph_sha256(corpus, unit)}
+    for round_ in make_rounds(corpus):
+        got[round_.index] = _graph_sha256(corpus.slice_until(round_.train_cut), unit)
+    assert got == PINNED_GRAPHS[unit]

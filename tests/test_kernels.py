@@ -127,3 +127,28 @@ def test_empty_path_rejected(unit):
     pack = FilePack.from_file_sets([["a"]], unit)
     with pytest.raises(ValueError, match="empty file path"):
         pack.pack_one(["a", ""])
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_rows_against_a_taken_pack_equal_rows_against_its_own(unit):
+    """A slice's pack gathers the root's sets and shares the root's
+    vocabulary; the kernel compares tokens only for equality, so every row
+    equals the row against the slice's sets packed alone, exactly, even for
+    a target token that only the root's other sets hold."""
+    rng = random.Random(23)
+    sets = random_file_sets(rng, 30, unit)
+    sets[0] = ["only/in/the/root.q"]
+    root = FilePack.from_file_sets(sets, unit)
+    picks = np.asarray(sorted(rng.sample(range(1, len(sets)), 12))[::-1])
+    taken = root.take(picks)
+    alone = FilePack.from_file_sets([sets[i] for i in picks], unit)
+    assert taken.vocab is root.vocab
+    assert np.array_equal(np.diff(taken.set_off), np.diff(alone.set_off))
+    assert np.array_equal(np.diff(taken.file_off), np.diff(alone.file_off))
+    targets = [*(sets[i] for i in range(len(sets))), ["only/in/the/root.q", "src/new"]]
+    for target in targets:
+        got = kernel_row(taken, *taken.pack_one(target)).tolist()
+        assert got == kernel_row(alone, *alone.pack_one(target)).tolist()
+    for i in range(len(picks)):
+        got = kernel_row(taken, *taken.slice_one(i)).tolist()
+        assert got == kernel_row(alone, *alone.slice_one(i)).tolist()

@@ -163,16 +163,16 @@ class TestSolveDirect:
         # unpivoted factorization then loses every digit of the solution.
         n = 3
         kernel = sp.coo_matrix(-(np.ones((n, n)) - np.eye(n)) / 0.9)
-        system = RankingSystem(kernel, np.full(n, 1e-16), alpha=0.9, n_edges=1)
+        system = RankingSystem(kernel, np.full(n, 1e-16), alpha=0.9)
         with pytest.raises(SolverError, match="residual"):
             solve_direct(system, np.array([1e16, 2e16, 3e16]))
 
     def test_singular_update_rejected(self):
         # S0 = I (one isolated vertex); W = -1 makes the updated S zero
-        base = RankingSystem(sp.coo_matrix((1, 1)), np.zeros(1), alpha=0.9, n_edges=1)
+        base = RankingSystem(sp.coo_matrix((1, 1)), np.zeros(1), alpha=0.9)
         solve_direct(base, np.ones(1))  # factors S0
         update = RankingSystem(
-            None, np.zeros(1), alpha=0.9, n_edges=1, base=base,
+            None, np.zeros(1), alpha=0.9, base=base,
             touched=np.array([0]), update=np.array([[-1.0]]),
         )
         with pytest.raises(SolverError, match="failed"):

@@ -43,7 +43,7 @@ class TestGraft:
         target = TargetPR("t", "ann", corpus.prs[0].created_at,
                           files=corpus.prs[0].files)
         grafted = graft(prepare(base, corpus, params), target)
-        new_edges = grafted.edges[len(base.edges):]
+        new_edges = grafted.edges
         pr_pr = [e for e in new_edges if e.kind is EdgeKind.PR_PR]
         strongest = max(pr_pr, key=lambda e: e.raw_weight)
         target_v = grafted.vertex_index(VertexKind.PR, "t")
@@ -57,7 +57,7 @@ class TestGraft:
         target = TargetPR("t", "zoe", T0 + 20 * DAY, files=("src/net/a.c",))
         grafted = graft(prepare(base, corpus, params), target)
         new_pr_pr = [
-            e for e in grafted.edges[len(base.edges):] if e.kind is EdgeKind.PR_PR
+            e for e in grafted.edges if e.kind is EdgeKind.PR_PR
         ]
         assert len(new_pr_pr) <= 3
 
@@ -85,6 +85,21 @@ class TestGraft:
         target = TargetPR("t", "zoe", T0 + 15 * DAY, files=("src/net/a.c",))
         graft(prepare(base, corpus, params), target)
         assert (base.vertices, base.edges, base.by_kind) == snapshot
+
+    def test_overlay_assembles_only_against_its_base_system(self):
+        corpus = small_corpus()
+        params = HyperParams()
+        base = build(corpus, params)
+        state = prepare(base, corpus, params)
+        grafted = graft(state, TargetPR("t", "zoe", T0 + 15 * DAY, ("src/net/a.c",)))
+        assert grafted.base is base
+        assert len(grafted.edges) == 1 + sum(
+            e.kind is EdgeKind.PR_PR for e in grafted.edges
+        )
+        with pytest.raises(ValueError, match="overlay"):
+            ranker.assemble(grafted, params.alpha)
+        with pytest.raises(ValueError, match="overlay"):
+            ranker.assemble(base, params.alpha, base=state.system)
 
     def test_future_target_extends_bounds(self):
         corpus = small_corpus()
@@ -131,7 +146,7 @@ class TestGraft:
         target = TargetPR("t", "zoe", T0 + 10 * DAY, files=("src/n/a.c",))
         grafted = graft(prepare(base, corpus, params), target)
         new_pr_pr = [
-            e for e in grafted.edges[len(base.edges):] if e.kind is EdgeKind.PR_PR
+            e for e in grafted.edges if e.kind is EdgeKind.PR_PR
         ]
         assert len(new_pr_pr) == 1
         target_v = grafted.vertex_index(VertexKind.PR, "t")
@@ -144,7 +159,7 @@ class TestGraft:
         base = build(corpus, params)
         target = TargetPR("t", "zoe", corpus.t_end + DAY, files=("src/net/a.c",))
         grafted = graft(prepare(base, corpus, params), target)
-        for edge in grafted.edges[len(base.edges):]:
+        for edge in grafted.edges:
             assert 0.0 <= edge.weight <= 1.0
 
 
@@ -256,7 +271,9 @@ class TestRecommend:
         assert result.ids() == ["nina"]
 
         grafted = graft(prepare(base, specialist_corpus, params), target)
-        system = ranker.assemble(grafted, params.alpha)
+        system = ranker.assemble(
+            grafted, params.alpha, base=ranker.assemble(base, params.alpha)
+        )
         scores = ranker.solve_direct(system, query_vector(grafted, target))
         best, best_score = None, -1.0
         for v in grafted.vertices:
