@@ -100,8 +100,8 @@ class ReviewCorpus:
     )
     _root: "ReviewCorpus | None" = field(default=None, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # unit -> root PR index -> (root columns, values) of its positive entries.
-    _similarity: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = field(
+    # unit -> the root's sweep of its PRs against each other (read-only).
+    _similarity: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -143,44 +143,40 @@ class ReviewCorpus:
     def similarity_entries(
         self, unit: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The positive entries of every PR's ``kernels.mean_similarity_row``
-        against this corpus, row by row: the two PRs' indices in this corpus
-        (``rows`` ascending) and the similarity, as fresh arrays.
+        """The positive entries of ``kernels.mean_similarity_entries`` of this
+        corpus's PRs against each other: the two PRs' indices in this corpus
+        (``rows`` ascending) and the similarity.
 
-        Each row is computed once, against the root corpus, and kept sparse in
-        the root's store for every slice of it. An entry depends only on the
-        two file sets (the kernel's additions are vectorized across sets), so
-        the root row read at a slice's PRs is exactly the slice's own row. A
-        concurrent miss recomputes the same row, and the store keeps either.
-        The root itself reads stored rows but keeps none of its own: built
-        once per fit, it would never read them again.
+        The root's PRs are swept against each other once, on first use. A
+        slice's sweep is kept, read-only, in the root's store, where the
+        root and every slice read it. An entry depends only on the two file
+        sets, so the root's entries read at a slice's PRs are exactly the
+        slice's own. Concurrent first reads sweep twice, and the store keeps
+        either. A root that is never sliced keeps nothing: built once per
+        fit, it would never read its sweep again.
         """
         root = self._root or self
+        sweep = root._similarity.get(unit)
+        if sweep is None:
+            pack = root.file_pack(unit)
+            sweep = kernels.mean_similarity_entries(
+                pack.tokens, pack.file_off, pack.set_off,
+                pack.tokens, pack.file_off, pack.set_off,
+            )
+            if self._root is not None:
+                for part in sweep:
+                    part.flags.writeable = False
+                root._similarity[unit] = sweep
         at = self._positions
-        store = root._similarity.setdefault(unit, {})
-        pack = root.file_pack(unit)
-        found = []
-        for r in range(len(self.prs)) if at is None else at.tolist():
-            entry = store.get(r)
-            if entry is None:
-                full = kernels.mean_similarity_row(
-                    *pack.slice_one(r), pack.tokens, pack.file_off, pack.set_off
-                )
-                cols = np.flatnonzero(full > 0.0).astype(np.int32)
-                entry = (cols, full[cols])
-                if self._root is not None:
-                    store[r] = entry
-            found.append(entry)
-        rows = np.repeat(np.arange(len(self.prs)), [len(c) for c, _ in found])
-        cols = np.concatenate([c for c, _ in found]).astype(np.int64)
-        values = np.concatenate([v for _, v in found])
-        if at is not None:
-            local = np.full(len(root.prs), -1)
-            local[at] = np.arange(len(self.prs))
-            cols = local[cols]
-            kept = cols >= 0
-            rows, cols, values = rows[kept], cols[kept], values[kept]
-        return rows, cols, values
+        if at is None:
+            return sweep
+        # ``at`` ascends (a slice keeps its parent's order), so rows do too.
+        rows, cols, values = sweep
+        local = np.full(len(root.prs), -1)
+        local[at] = np.arange(len(self.prs))
+        rows, cols = local[rows], local[cols]
+        kept = (rows >= 0) & (cols >= 0)
+        return rows[kept], cols[kept], values[kept]
 
     def stats(self) -> dict[str, int]:
         return {

@@ -407,7 +407,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
             )
     corpus._comment_counts = counts
 
-    # Pairwise PR links: every stored kernel entry of the corpus, damped by
+    # Pairwise PR links: every positive entry of the corpus's sweep, damped by
     # this window's time gaps; a pair becomes an edge when either endpoint
     # ranks it within its own top-m. Zero-weight pairs never qualify.
     unit = params.similarity_unit

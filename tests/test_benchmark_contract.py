@@ -92,3 +92,22 @@ def test_graph_shape_metrics_read_a_built_graph(tracing):
     for kind, count in families.items():
         assert metrics[f"hypergraph.edges.{kind}"] == count
     assert families["pr_pr"] > 0
+
+
+def test_a_fit_makes_no_kernel_row_and_a_query_one(tracing):
+    """A fit sweeps its corpus once, outside ``kernels.mean_similarity_row``;
+    each query makes exactly one row, which is what the benchmark's serve
+    check of one kernel row per query counts."""
+    run, tracer, wrapped = tracing
+    from hgrec.recommender import HypergraphRecommender, TargetPR
+
+    with open(FIXTURE, encoding="utf-8") as handle:
+        corpus = clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
+    recommender = HypergraphRecommender().fit(corpus)
+    assert "kernels.mean_similarity_row" in wrapped
+    assert run.layer_metrics(tracer, wrapped)["kernels.mean_similarity_row.calls"] == 0
+
+    last = corpus.prs[-1]
+    target = TargetPR("query", last.contributor, last.created_at + 1, last.files)
+    recommender.recommend(target, 5)
+    assert run.layer_metrics(tracer, wrapped)["kernels.mean_similarity_row.calls"] == 1

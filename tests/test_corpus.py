@@ -315,25 +315,37 @@ class TestSlices:
         assert len(late.comments) == 2
 
     def test_root_reads_stored_rows_but_keeps_none_of_its_own(self, monkeypatch):
-        rows = []
-        row = kernels.mean_similarity_row
+        sweeps = []
+        sweep = kernels.mean_similarity_entries
         monkeypatch.setattr(
-            kernels, "mean_similarity_row",
-            lambda *args, **kwargs: rows.append(args) or row(*args, **kwargs),
+            kernels, "mean_similarity_entries",
+            lambda *args: sweeps.append(args) or sweep(*args),
         )
-        corpus = make_corpus([make_pr(f"p{i}", "a", T0 + i, [f"src/f{i}.c"]) for i in range(4)])
+        corpus = make_corpus(
+            [make_pr(f"p{i}", "a", T0 + i, [f"src/d{i % 2}/f{i}.c"]) for i in range(4)]
+        )
+        # A root alone sweeps once and keeps nothing.
         whole = corpus.similarity_entries("components")
-        assert corpus._similarity["components"] == {}
-        assert len(rows) == 4
-        sliced = corpus.slice_until(T0 + 2).similarity_entries("components")
-        assert list(corpus._similarity["components"]) == [0, 1]
-        assert len(rows) == 6
-        again = corpus.similarity_entries("components")
-        assert len(rows) == 8  # rows 2 and 3 were never stored
-        for got in (whole, again):
-            head = got[0] < 2
-            head &= got[1] < 2
-            for a, b in zip(sliced, got):
+        assert len(sweeps) == 1
+        assert corpus._similarity == {}
+        # The first window sweeps the root and stores that sweep, read-only.
+        first = corpus.slice_until(T0 + 2)
+        reads = [(first, first.similarity_entries("components"))]
+        assert len(sweeps) == 2
+        stored = corpus._similarity["components"]
+        assert stored[0].tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
+        assert not any(part.flags.writeable for part in stored)
+        # Later windows, a window's window and the root read it: no new sweep.
+        later = corpus.slice_until(T0 + 3)
+        for window in (later, later.slice_until(T0 + 1), corpus):
+            reads.append((window, window.similarity_entries("components")))
+        assert len(sweeps) == 2
+        assert corpus._similarity["components"] is stored
+        # Every read gives the root's entries between the window's PRs.
+        for window, got in reads:
+            n = len(window.prs)
+            head = (whole[0] < n) & (whole[1] < n)
+            for a, b in zip(got, whole):
                 np.testing.assert_array_equal(a, b[head])
 
 

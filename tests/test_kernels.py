@@ -1,13 +1,17 @@
 """The numpy path-similarity kernel against the scalar loop, bit for bit."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hgrec.kernels as kernels
+from hgrec.corpus import clean, parse_export
 from hgrec.kernels import FilePack
 from hgrec.hypergraph import path_similarity
+
+from conftest import load_synth
 
 
 def random_file_sets(rng, n_sets, unit):
@@ -152,3 +156,100 @@ def test_rows_against_a_taken_pack_equal_rows_against_its_own(unit):
     for i in range(len(picks)):
         got = kernel_row(taken, *taken.slice_one(i)).tolist()
         assert got == kernel_row(alone, *alone.slice_one(i)).tolist()
+
+
+def concatenated(t_pack_sets):
+    """(tokens, file offsets, set offsets) of packed targets laid end to end."""
+    tokens = np.concatenate([t for t, _ in t_pack_sets])
+    file_off, set_off = [0], [0]
+    for t, off in t_pack_sets:
+        file_off.extend((file_off[-1] + off[1:]).tolist())
+        set_off.append(len(file_off) - 1)
+    return tokens, np.asarray(file_off), np.asarray(set_off)
+
+
+def assert_entries_exact(t_pack_sets, pack, t_sets, sets, unit):
+    """Whole-pack entries == stacked rows == the naive oracle, with ``==``."""
+    rows, cols, values = kernels.mean_similarity_entries(
+        *concatenated(t_pack_sets), pack.tokens, pack.file_off, pack.set_off
+    )
+    stacked = np.array([kernel_row(pack, *target) for target in t_pack_sets])
+    # The entries are the positive ones, rows ascending, cols ascending.
+    expect_rows, expect_cols = np.nonzero(stacked)
+    assert rows.tolist() == expect_rows.tolist()
+    assert cols.tolist() == expect_cols.tolist()
+    assert values.tolist() == stacked[expect_rows, expect_cols].tolist()
+    assert stacked.tolist() == [
+        [naive_mean_similarity(t, s, unit) for s in sets] for t in t_sets
+    ]
+
+
+@pytest.fixture(params=["default", "1"])
+def chunk_pairs(request, monkeypatch):
+    """The kernel's chunk cap as it is, and at 1: every set a chunk alone."""
+    if request.param == "1":
+        monkeypatch.setattr(kernels, "CHUNK_PAIRS", 1)
+
+
+def sweep_sets(rng, unit):
+    """Random sets, some of a single file, and one set holding every file."""
+    sets = random_file_sets(rng, 24, unit)
+    sets[3:6] = [[files[0]] for files in sets[3:6]]
+    sets.insert(9, sorted({f for files in sets for f in files}))
+    return sets
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_whole_pack_entries_equal_stacked_rows_and_naive(unit, chunk_pairs):
+    sets = sweep_sets(random.Random(29), unit)
+    pack = FilePack.from_file_sets(sets, unit)
+    t_pack_sets = [pack.slice_one(i) for i in range(pack.n_sets)]
+    assert_entries_exact(t_pack_sets, pack, sets, sets, unit)
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_entries_of_unseen_targets_equal_stacked_rows_and_naive(unit, chunk_pairs):
+    sets = sweep_sets(random.Random(31), unit)
+    pack = FilePack.from_file_sets(sets, unit)
+    targets = [
+        ["brand/new.md"],
+        ["src/new/x.c", "brand/new.md"],
+        ["zz", "src/lib/q.h", "src/net"],
+        *([files[0] + "/deeper"] for files in sets[:3]),
+        sets[9],
+    ]
+    t_pack_sets = [pack.pack_one(target) for target in targets]
+    assert_entries_exact(t_pack_sets, pack, targets, sets, unit)
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_entries_of_a_shuffled_root_window_equal_stacked_rows_and_naive(
+    unit, chunk_pairs
+):
+    rng = random.Random(37)
+    sets = sweep_sets(rng, unit)
+    root = FilePack.from_file_sets(sets, unit)
+    picks = np.asarray(rng.sample(range(len(sets)), 15))
+    window = root.take(picks)
+    picked = [sets[i] for i in picks]
+    t_pack_sets = [window.slice_one(i) for i in range(window.n_sets)]
+    assert_entries_exact(t_pack_sets, window, picked, picked, unit)
+
+
+def test_serve_shaped_sweep_peaks_at_one_mib_or_less():
+    """One whole-corpus sweep of a serve-shaped corpus keeps its temporaries,
+    chunk by chunk, within about 1 MiB (entries included)."""
+    synth = load_synth()
+    shape = synth.Shape(prs=400, months=36, files_per_area=120, depth=4, held_out=100)
+    records, _ = synth.generate(shape, "1/0")
+    corpus = clean(parse_export(synth.to_jsonl(records).splitlines()))
+    pack = corpus.file_pack("components")
+    args = (pack.tokens, pack.file_off, pack.set_off) * 2
+    tracemalloc.start()
+    try:
+        rows, _, _ = kernels.mean_similarity_entries(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > pack.n_sets
+    assert peak <= 1 << 20
