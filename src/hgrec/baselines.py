@@ -66,7 +66,8 @@ def revfinder_recommend(
         pack = corpus.file_pack(unit)
         t_tokens, t_off = pack.pack_one(target.files)
         means = kernels.mean_similarity_row(
-            t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off
+            t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off,
+            grouping=pack.grouping(),
         )
         for pr, mean in zip(corpus.prs, means.tolist()):
             for reviewer in pr.reviewers():

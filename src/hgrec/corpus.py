@@ -145,7 +145,7 @@ class ReviewCorpus:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positive entries of ``kernels.mean_similarity_entries`` of this
         corpus's PRs against each other: the two PRs' indices in this corpus
-        (``rows`` ascending) and the similarity.
+        (int32, ``rows`` ascending) and the similarity.
 
         The root's PRs are swept against each other once, on first use. A
         slice's sweep is kept, read-only, in the root's store, where the
@@ -162,6 +162,7 @@ class ReviewCorpus:
             sweep = kernels.mean_similarity_entries(
                 pack.tokens, pack.file_off, pack.set_off,
                 pack.tokens, pack.file_off, pack.set_off,
+                grouping=pack.grouping(),
             )
             if self._root is not None:
                 for part in sweep:
@@ -172,7 +173,7 @@ class ReviewCorpus:
             return sweep
         # ``at`` ascends (a slice keeps its parent's order), so rows do too.
         rows, cols, values = sweep
-        local = np.full(len(root.prs), -1)
+        local = np.full(len(root.prs), -1, dtype=np.int32)
         local[at] = np.arange(len(self.prs))
         rows, cols = local[rows], local[cols]
         kept = (rows >= 0) & (cols >= 0)

@@ -143,23 +143,45 @@ def make_rounds(
 # Metrics.
 
 
-def acc(records: Sequence[PRRecord], k: int) -> float:
-    if not records:
+def _first_hits(records: Sequence[PRRecord]) -> list[int]:
+    """Each record's 1-based position of its first true reviewer in its
+    ranked list, 0 when none is listed. acc and mrr at every k read it."""
+    hits = []
+    for r in records:
+        hit = 0
+        for position, dev in enumerate(r.ranked, start=1):
+            if dev in r.ground_truth:
+                hit = position
+                break
+        hits.append(hit)
+    return hits
+
+
+def _acc_at(hits: Sequence[int], k: int) -> float:
+    """acc at k of the records whose ``_first_hits`` are ``hits``."""
+    if not hits:
         raise UndefinedMetricError("acc over zero records")
-    hits = sum(1 for r in records if set(r.ranked[:k]) & r.ground_truth)
-    return hits / len(records)
+    return sum(1 for hit in hits if 0 < hit <= k) / len(hits)
+
+
+def _mrr_at(hits: Sequence[int], k: int) -> float:
+    """mrr at k of the records whose ``_first_hits`` are ``hits``: the
+    reciprocal ranks are added in record order."""
+    if not hits:
+        raise UndefinedMetricError("mrr over zero records")
+    total = 0.0
+    for hit in hits:
+        if 0 < hit <= k:
+            total += 1.0 / hit
+    return total / len(hits)
+
+
+def acc(records: Sequence[PRRecord], k: int) -> float:
+    return _acc_at(_first_hits(records), k)
 
 
 def mrr(records: Sequence[PRRecord], k: int) -> float:
-    if not records:
-        raise UndefinedMetricError("mrr over zero records")
-    total = 0.0
-    for r in records:
-        for position, dev in enumerate(r.ranked[:k], start=1):
-            if dev in r.ground_truth:
-                total += 1.0 / position
-                break
-    return total / len(records)
+    return _mrr_at(_first_hits(records), k)
 
 
 def rd(records: Sequence[PRRecord], k: int, n_reviewers: int) -> float:
@@ -354,13 +376,14 @@ def run_comparison(
         )
         for label in labels:
             recs = per_round[i][label]
+            hits = _first_hits(recs)
             for k in ks:
                 row = MetricRow(
                     recommender=label,
                     round=round_.index,
                     k=k,
-                    acc=acc(recs, k),
-                    mrr=mrr(recs, k),
+                    acc=_acc_at(hits, k),
+                    mrr=_mrr_at(hits, k),
                     rd=rd(recs, k, n_reviewers),
                 )
                 rows.append(row)

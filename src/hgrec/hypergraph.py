@@ -423,7 +423,9 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     rows, cols, raw = rows[top], cols[top], raw[top]
     # One edge per pair, sorted by pair. Rows come ascending, so the stable
     # sort puts the entry of the pair's first PR ahead when both chose it.
-    pair = np.minimum(rows, cols) * len(corpus.prs) + np.maximum(rows, cols)
+    # The int32 indices are widened so that the key cannot overflow.
+    low = np.minimum(rows, cols).astype(np.int64)
+    pair = low * len(corpus.prs) + np.maximum(rows, cols)
     order = np.argsort(pair, kind="stable")
     fresh = np.ones(len(order), dtype=bool)
     fresh[1:] = pair[order][1:] != pair[order][:-1]

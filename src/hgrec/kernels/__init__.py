@@ -7,14 +7,16 @@ the RevFinder-s baseline. Each entry is the float of the scalar loop
         total_j += lcp(a, b) / max(|a|, |b|)
 
 A pair of files whose first tokens differ has lcp 0, so only the pairs that
-share a first token are formed. Their terms are added per (target set, set)
-in the loop's (a, b) order by one ``np.bincount``, which sums its weights in
-input order; a skipped pair's term is 0.0, and adding 0.0 changes no sum.
+share a first token are formed, from the packed files grouped by first token
+(``FilePack.grouping``, kept with the pack). Their terms are added per
+(target set, set) in the loop's (a, b) order by one ``np.bincount``, which
+sums its weights in input order; a skipped pair's term is 0.0, and adding
+0.0 changes no sum.
 """
 
 import numpy as np
 
-from .pack import FilePack, tokenize
+from .pack import FilePack, FirstTokenGrouping, tokenize
 
 BACKEND = "numpy"
 
@@ -24,7 +26,35 @@ BACKEND = "numpy"
 CHUNK_PAIRS = 4096
 
 
-def mean_similarity_entries(t_tokens, t_off, t_set_off, tokens, file_off, set_off):
+def _group_pairs(files, lo, counts, by_first):
+    """Each target file of ``files`` paired with the ``counts`` files of its
+    first-token group, the run of ``by_first`` from ``lo``: target files
+    outer, each group in file order, which is the scalar loop's order."""
+    ends = np.cumsum(counts)
+    a = np.repeat(files, counts)
+    b = by_first[np.arange(ends[-1]) + np.repeat(lo + counts - ends, counts)]
+    return a, b
+
+
+def _terms(t_tokens, t_off, t_lens, a, tokens, file_off, lens, b):
+    """``lcp(a, b) / max(|a|, |b|)`` of target file ``a`` and packed file
+    ``b``, for pairs whose first tokens are equal."""
+    # Every pair matches at token 0; extend the prefix while it matches.
+    lcp = np.ones(len(a), dtype=np.int64)
+    shorter = np.minimum(t_lens[a], lens[b])
+    live = np.arange(len(a))
+    p = 1
+    while live.size:
+        live = live[shorter[live] > p]
+        live = live[t_tokens[t_off[a[live]] + p] == tokens[file_off[b[live]] + p]]
+        lcp[live] += 1
+        p += 1
+    return lcp / np.maximum(t_lens[a], lens[b])
+
+
+def mean_similarity_entries(
+    t_tokens, t_off, t_set_off, tokens, file_off, set_off, *, grouping=None
+):
     """The positive mean pairwise prefix similarities of many target file
     sets against many packed sets.
 
@@ -36,90 +66,80 @@ def mean_similarity_entries(t_tokens, t_off, t_set_off, tokens, file_off, set_of
 
     where lcp counts common leading tokens. Returns ``(rows, cols, values)``
     for every (s, j) with a positive mean, ``rows`` ascending and each row's
-    ``cols`` ascending; every other mean is 0.0. Every file and set must be
-    non-empty, which ``FilePack`` guarantees.
+    ``cols`` ascending, both int32; every other mean is 0.0. Every file and
+    set must be non-empty, which ``FilePack`` guarantees. ``grouping`` is the
+    packed sets' ``FilePack.grouping()``; without it the sweep makes its own.
     """
     t_tokens = np.asarray(t_tokens)
     t_off = np.asarray(t_off, dtype=np.int64)
     t_set_off = np.asarray(t_set_off, dtype=np.int64)
     tokens = np.asarray(tokens)
     file_off = np.asarray(file_off, dtype=np.int64)
-    set_off = np.asarray(set_off, dtype=np.int64)
+    group = grouping or FirstTokenGrouping.of(tokens, file_off, set_off)
     t_lens = np.diff(t_off)
-    lens = np.diff(file_off)
     t_sizes = np.diff(t_set_off)
-    sizes = np.diff(set_off)
-    n_sets = len(sizes)
+    n_sets = len(group.sizes)
     t_set_of = np.repeat(np.arange(len(t_sizes)), t_sizes)
-    set_of = np.repeat(np.arange(n_sets), sizes)
 
-    # The files sharing a target file's first token: a run of ``by_first``,
-    # in file order.
-    first = tokens[file_off[:-1]]
-    by_first = np.argsort(first, kind="stable")
-    first = first[by_first]
-    t_first = t_tokens[t_off[:-1]]
-    lo = np.searchsorted(first, t_first, side="left")
-    partners = np.searchsorted(first, t_first, side="right") - lo
+    # The files sharing a target file's first token: a run of ``by_first``.
+    lo, partners = group.runs(t_tokens[t_off[:-1]])
     before = np.zeros(len(partners) + 1, dtype=np.int64)
     np.cumsum(partners, out=before[1:])
     at_set = before[t_set_off]
 
-    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+    found = [(np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(0),)]
     s0 = 0
     while s0 < len(t_sizes):
         s1 = np.searchsorted(at_set, at_set[s0] + CHUNK_PAIRS, side="right") - 1
         s1 = max(int(s1), s0 + 1)
         f0, f1 = t_set_off[s0], t_set_off[s1]
-        counts = partners[f0:f1]
-        a = np.repeat(np.arange(f0, f1), counts)
-        b = by_first[
-            np.arange(at_set[s1] - at_set[s0])
-            + np.repeat(lo[f0:f1] - (before[f0:f1] - before[f0]), counts)
-        ]
-        # Every pair matches at token 0; extend the prefix while it matches.
-        lcp = np.ones(len(a), dtype=np.int64)
-        shorter = np.minimum(t_lens[a], lens[b])
-        live = np.arange(len(a))
-        p = 1
-        while live.size:
-            live = live[shorter[live] > p]
-            live = live[
-                t_tokens[t_off[a[live]] + p] == tokens[file_off[b[live]] + p]
-            ]
-            lcp[live] += 1
-            p += 1
-        term = lcp / np.maximum(t_lens[a], lens[b])
+        a, b = _group_pairs(
+            np.arange(f0, f1), lo[f0:f1], partners[f0:f1], group.by_first
+        )
+        term = _terms(t_tokens, t_off, t_lens, a, tokens, file_off, group.lens, b)
 
-        key = t_set_of[a] * n_sets + set_of[b]
+        key = t_set_of[a] * n_sets + group.set_of[b]
         order = np.argsort(key, kind="stable")
         key = key[order]
         fresh = np.ones(len(key), dtype=bool)
         fresh[1:] = key[1:] != key[:-1]
         sums = np.bincount(np.cumsum(fresh) - 1, weights=term[order])
         rows, cols = np.divmod(key[fresh], n_sets)
-        found.append((rows, cols, sums / (t_sizes[rows] * sizes[cols])))
+        values = sums / (t_sizes[rows] * group.sizes[cols])
+        found.append((rows.astype(np.int32), cols.astype(np.int32), values))
         s0 = s1
 
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def mean_similarity_row(t_tokens, t_off, tokens, file_off, set_off, out=None):
+def mean_similarity_row(
+    t_tokens, t_off, tokens, file_off, set_off, out=None, *, grouping=None
+):
     """Mean pairwise prefix similarity of one file set against many: the one
-    target set of ``mean_similarity_entries``, every entry written."""
-    _, cols, values = mean_similarity_entries(
-        t_tokens, t_off, [0, len(t_off) - 1], tokens, file_off, set_off
-    )
+    target set of ``mean_similarity_entries``, every entry written.
+
+    Only the target's pairs within its first-token groups are formed, and
+    each set's terms are added in (target file, file) order by one
+    ``np.bincount``, so every entry equals the sweep's, bit for bit."""
+    t_tokens = np.asarray(t_tokens)
+    t_off = np.asarray(t_off, dtype=np.int64)
+    tokens = np.asarray(tokens)
+    file_off = np.asarray(file_off, dtype=np.int64)
+    group = grouping or FirstTokenGrouping.of(tokens, file_off, set_off)
+    t_lens = np.diff(t_off)
+    lo, counts = group.runs(t_tokens[t_off[:-1]])
+    a, b = _group_pairs(np.arange(len(t_lens)), lo, counts, group.by_first)
+    term = _terms(t_tokens, t_off, t_lens, a, tokens, file_off, group.lens, b)
+    sums = np.bincount(group.set_of[b], weights=term, minlength=len(group.sizes))
     if out is None:
-        out = np.empty(len(set_off) - 1, dtype=np.float64)
-    out.fill(0.0)
-    out[cols] = values
-    return out
+        out = np.empty(len(group.sizes), dtype=np.float64)
+    return np.divide(sums, group.sizes * len(t_lens), out=out)
 
 
 __all__ = [
     "BACKEND",
     "FilePack",
+    "FirstTokenGrouping",
     "mean_similarity_entries",
     "mean_similarity_row",
     "tokenize",

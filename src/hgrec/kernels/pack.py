@@ -8,12 +8,14 @@ ids, and a whole corpus of file sets is laid out as three flat arrays:
     set_off   int64[ns + 1]   set  i  = files  [set_off[i] : set_off[i+1]]
 
 Only token equality matters to the kernel, so the id assignment is arbitrary
-but deterministic (first-seen order).
+but deterministic (first-seen order). Two files with different first tokens
+have no common prefix, so the kernel reads the files grouped by first token;
+a pack keeps that grouping once made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +32,42 @@ def _check_path(path: str) -> None:
         raise ValueError("cannot pack an empty file path")
 
 
+@dataclass(frozen=True)
+class FirstTokenGrouping:
+    """Packed files grouped by first token. ``by_first`` is the stable
+    argsort of the files' first tokens and ``first`` those tokens in that
+    order, so the files sharing a first token are one run of ``by_first``, in
+    file order. ``set_of`` and ``lens`` give each file's set and length, and
+    ``sizes`` each set's number of files."""
+
+    by_first: np.ndarray
+    first: np.ndarray
+    set_of: np.ndarray
+    lens: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(
+        cls, tokens: np.ndarray, file_off: np.ndarray, set_off: np.ndarray
+    ) -> "FirstTokenGrouping":
+        first = tokens[file_off[:-1]]
+        by_first = np.argsort(first, kind="stable")
+        sizes = np.diff(set_off)
+        return cls(
+            by_first=by_first,
+            first=first[by_first],
+            set_of=np.repeat(np.arange(len(sizes)), sizes),
+            lens=np.diff(file_off),
+            sizes=sizes,
+        )
+
+    def runs(self, first_tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length of each token's run of ``by_first``: the files
+        whose first token it is."""
+        lo = np.searchsorted(self.first, first_tokens, side="left")
+        return lo, np.searchsorted(self.first, first_tokens, side="right") - lo
+
+
 @dataclass
 class FilePack:
     unit: str
@@ -37,10 +75,23 @@ class FilePack:
     file_off: np.ndarray
     set_off: np.ndarray
     vocab: dict[str, int]
+    _grouping: FirstTokenGrouping | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def n_sets(self) -> int:
         return len(self.set_off) - 1
+
+    def grouping(self) -> FirstTokenGrouping:
+        """This pack's files grouped by first token, made on first use: a
+        pack's arrays never change once made. Concurrent first uses group
+        twice, and the pack keeps either."""
+        if self._grouping is None:
+            self._grouping = FirstTokenGrouping.of(
+                self.tokens, self.file_off, self.set_off
+            )
+        return self._grouping
 
     @classmethod
     def from_file_sets(

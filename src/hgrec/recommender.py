@@ -112,20 +112,26 @@ def graft(state: FitState, target: TargetPR) -> Hypergraph:
     index = base.pr_index
     pack = index.pack
     sims = kernels.mean_similarity_row(
-        *pack.pack_one(target.files), pack.tokens, pack.file_off, pack.set_off
+        *pack.pack_one(target.files), pack.tokens, pack.file_off, pack.set_off,
+        grouping=pack.grouping(),
     )
-    raw = pr_pr_raw_row(sims, index.times, _span(t_start, t_end), target.created_at)
-    partners = _top_entries(
-        np.zeros(len(raw), dtype=np.int64),
-        np.arange(len(raw)),
+    # Only positive entries can be chosen, so only they are damped and ranked.
+    similar = np.flatnonzero(sims)
+    raw = pr_pr_raw_row(
+        sims[similar], index.times[similar], _span(t_start, t_end), target.created_at
+    )
+    top = _top_entries(
+        np.zeros(len(similar), dtype=np.int64),
+        similar,
         raw,
         index.chronology,
         base.params.top_m,
     )
+    partners = similar[top]
     # Every appended edge pairs the target with one vertex: its contributor,
     # or a partner PR, which as a base vertex precedes it.
     kinds = [EdgeKind.PR_CONTRIBUTOR] + [EdgeKind.PR_PR] * len(partners)
-    raws = [weight_pr_contributor(target, t_start, t_end), *raw[partners].tolist()]
+    raws = [weight_pr_contributor(target, t_start, t_end), *raw[top].tolist()]
     members = sorted((pr_v, contributor_v))
     for partner_v in index.vertices[partners].tolist():
         members += (partner_v, pr_v)
@@ -184,9 +190,17 @@ def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
     params = state.graph.params
     graph = graft(state, target)
     system = ranker.assemble(graph, params.alpha, base=state.system)
-    scores = ranker.solve(system, query_vector(graph, target), params)
-    scored = zip(state.developer_ids, scores[state.developer_vertices])
-    return rank_developers(scored, state.comment_counts, target, k)
+    scores = ranker.solve(system, query_vector(graph, target), params)[
+        state.developer_vertices
+    ]
+    ids = state.developer_ids
+    if len(scores) > k + 1:
+        # A developer below the (k+1)-th score trails at least k others even
+        # once the contributor is dropped, so it cannot make the list.
+        kept = np.flatnonzero(scores >= np.partition(scores, -(k + 1))[-(k + 1)])
+        ids = [ids[i] for i in kept.tolist()]
+        scores = scores[kept]
+    return rank_developers(zip(ids, scores), state.comment_counts, target, k)
 
 
 def recommend(

@@ -18,6 +18,7 @@ from hgrec.corpus import (
     reviewer_sets,
 )
 from hgrec.errors import EmptyCorpusError, ExportParseError, HgrecError
+from hgrec.hypergraph import path_similarity
 
 from conftest import DAY, make_corpus, make_pr
 
@@ -319,7 +320,7 @@ class TestSlices:
         sweep = kernels.mean_similarity_entries
         monkeypatch.setattr(
             kernels, "mean_similarity_entries",
-            lambda *args: sweeps.append(args) or sweep(*args),
+            lambda *args, **kwargs: sweeps.append(args) or sweep(*args, **kwargs),
         )
         corpus = make_corpus(
             [make_pr(f"p{i}", "a", T0 + i, [f"src/d{i % 2}/f{i}.c"]) for i in range(4)]
@@ -347,6 +348,33 @@ class TestSlices:
             head = (whole[0] < n) & (whole[1] < n)
             for a, b in zip(got, whole):
                 np.testing.assert_array_equal(a, b[head])
+
+    @pytest.mark.parametrize("unit", ["components", "chars"])
+    def test_stored_sweep_keeps_int32_indices_of_the_same_entries(self, unit):
+        """The stored sweep's indices are int32 (16 bytes an entry), and
+        its entries are every positive mean of the naive pairwise loop."""
+        files = [["src/a/x.c"], ["src/b.c", "docs/c.md"], ["lib/q"],
+                 ["src/a/y.c", "lib/r"], ["docs/c.md"]]
+        corpus = make_corpus(
+            [make_pr(f"p{i}", "a", T0 + i, f) for i, f in enumerate(files)]
+        )
+        window = corpus.slice_until(T0 + 3)
+        for got in (window.similarity_entries(unit), corpus._similarity[unit],
+                    corpus.similarity_entries(unit)):
+            assert got[0].dtype == np.int32 and got[1].dtype == np.int32
+        rows, cols, values = corpus._similarity[unit]
+        naive = [
+            [
+                sum(path_similarity(a, b, unit) for a in fa for b in fb)
+                / (len(fa) * len(fb))
+                for fb in files
+            ]
+            for fa in files
+        ]
+        expect_rows, expect_cols = np.nonzero(naive)
+        assert rows.tolist() == expect_rows.tolist()
+        assert cols.tolist() == expect_cols.tolist()
+        assert values.tolist() == [naive[i][j] for i, j in zip(rows, cols)]
 
 
 class TestArtifact:

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 import hgrec.kernels as kernels
-from hgrec.corpus import clean, parse_export
-from hgrec.kernels import FilePack
+from hgrec.baselines import revfinder_recommend
+from hgrec.config import HyperParams
+from hgrec.corpus import TargetPR, clean, parse_export
+from hgrec.kernels import FilePack, FirstTokenGrouping
 from hgrec.hypergraph import path_similarity
+from hgrec.recommender import HypergraphRecommender
 
-from conftest import load_synth
+from conftest import DAY, load_synth, make_corpus, make_pr
 
 
 def random_file_sets(rng, n_sets, unit):
@@ -253,3 +256,115 @@ def test_serve_shaped_sweep_peaks_at_one_mib_or_less():
         tracemalloc.stop()
     assert len(rows) > pack.n_sets
     assert peak <= 1 << 20
+
+
+def assert_grouped_row_exact(pack, target, sets, unit, out=None):
+    """The row read through the pack's grouping == the sweep's entries of the
+    one target set, scattered == the naive oracle, with ``==``."""
+    t_tokens, t_off = pack.pack_one(target)
+    row = kernels.mean_similarity_row(
+        t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off, out=out,
+        grouping=pack.grouping(),
+    )
+    _, cols, values = kernels.mean_similarity_entries(
+        t_tokens, t_off, [0, len(t_off) - 1], pack.tokens, pack.file_off, pack.set_off
+    )
+    swept = np.zeros(pack.n_sets)
+    swept[cols] = values
+    assert row.tolist() == swept.tolist()
+    assert row.tolist() == [naive_mean_similarity(target, s, unit) for s in sets]
+    return row
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_grouped_rows_of_a_taken_window_equal_sweep_and_naive(unit):
+    """A window's grouping holds the window's files only: a target token
+    that only the root holds pairs with nothing."""
+    rng = random.Random(41)
+    sets = random_file_sets(rng, 30, unit)
+    sets[0] = ["only/in/the/whole.q"]
+    root = FilePack.from_file_sets(sets, unit)
+    picks = np.asarray(rng.sample(range(1, len(sets)), 14))
+    window = root.take(picks)
+    picked = [sets[i] for i in picks]
+    targets = [
+        ["only/in/the/whole.q"],
+        ["only/in/the/whole.q", "src/new"],
+        *picked[:5],
+    ]
+    for target in targets:
+        assert_grouped_row_exact(window, target, picked, unit)
+    assert not assert_grouped_row_exact(window, targets[0], picked, unit).any()
+    assert assert_grouped_row_exact(root, targets[0], sets, unit)[0] == 1.0
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_grouped_row_of_an_unmatched_target_is_all_zero(unit):
+    sets = random_file_sets(random.Random(43), 20, unit)
+    pack = FilePack.from_file_sets(sets, unit)
+    row = assert_grouped_row_exact(pack, ["wk/src/a", "Q"], sets, unit)
+    assert row.tolist() == [0.0] * len(sets)
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_grouped_row_of_one_file_against_one_very_large_set(unit):
+    rng = random.Random(47)
+    big = sorted({f for files in random_file_sets(rng, 200, unit) for f in files})
+    sets = [["src/a"], big, ["docs/x.c", "src"]]
+    pack = FilePack.from_file_sets(sets, unit)
+    assert len(big) > 100
+    for target in (["src/lib/x.c"], [big[len(big) // 2]], ["docs"]):
+        assert_grouped_row_exact(pack, target, sets, unit)
+
+
+@pytest.mark.parametrize("unit", ["components", "chars"])
+def test_grouped_row_fills_out_and_returns_it(unit):
+    sets = random_file_sets(random.Random(53), 12, unit)
+    pack = FilePack.from_file_sets(sets, unit)
+    out = np.full(len(sets), np.nan)
+    row = assert_grouped_row_exact(pack, sets[3], sets, unit, out=out)
+    assert row is out
+    # An unmatched target overwrites every entry of a used ``out``.
+    assert_grouped_row_exact(pack, ["wk"], sets, unit, out=out)
+    assert out.tolist() == [0.0] * len(sets)
+
+
+def test_grouping_is_made_once_per_pack(monkeypatch):
+    """Two grafts on one window fit and two revfinder-s queries on one
+    window each group the window's pack once; the root's pack, swept for
+    the fit, is grouped once too, and a taken window gets its own."""
+    made = []
+    of = FirstTokenGrouping.of.__func__
+
+    def spy(cls, tokens, file_off, set_off):
+        made.append(tokens)
+        return of(cls, tokens, file_off, set_off)
+
+    monkeypatch.setattr(FirstTokenGrouping, "of", classmethod(spy))
+    t0 = 1_600_000_000
+    corpus = make_corpus(
+        [
+            make_pr(f"p{i}", f"c{i % 3}", t0 + i * DAY,
+                    [f"src/d{i % 2}/f{i}.c", f"docs/{i % 4}.md"],
+                    comments=[(f"r{i % 4}", t0 + i * DAY + 1)])
+            for i in range(12)
+        ]
+    )
+    root = corpus.file_pack("components")
+    targets = [
+        TargetPR(f"t{i}", "c0", t0 + 20 * DAY, (f"src/d{i}/new.c",)) for i in (0, 1)
+    ]
+
+    fitted = corpus.slice_until(t0 + 8 * DAY)
+    recommender = HypergraphRecommender(HyperParams()).fit(fitted)
+    for target in targets:
+        recommender.recommend(target, 3)
+    window = fitted.file_pack("components")
+    assert len(made) == 2 and made[0] is root.tokens and made[1] is window.tokens
+
+    queried = corpus.slice_until(t0 + 10 * DAY)
+    for target in targets:
+        revfinder_recommend(queried, target, 3)
+    assert len(made) == 3 and made[2] is queried.file_pack("components").tokens
+    assert window.grouping() is not root.grouping()
+    assert len(made) == 3

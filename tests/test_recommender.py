@@ -5,16 +5,29 @@ import copy
 import numpy as np
 import pytest
 
-from hgrec import ranker
+from hgrec import kernels, ranker
 from hgrec.config import HyperParams
 from hgrec.errors import HgrecError
-from hgrec.hypergraph import EdgeKind, VertexKind, build
+from hgrec.hypergraph import (
+    EDGE_KINDS,
+    EdgeKind,
+    EdgeTable,
+    VertexKind,
+    _span,
+    _top_entries,
+    build,
+    pr_pr_raw_row,
+    scale_into_range,
+    weight_pr_contributor,
+)
 from hgrec.recommender import (
     HypergraphRecommender,
     TargetPR,
     graft,
     prepare,
     query_vector,
+    rank,
+    rank_developers,
     recommend,
 )
 
@@ -161,6 +174,111 @@ class TestGraft:
         grafted = graft(prepare(base, corpus, params), target)
         for edge in grafted.edges:
             assert 0.0 <= edge.weight <= 1.0
+
+
+def dense_overlay_edges(state, target):
+    """Oracle of a graft's edges: damp the target's whole kernel row and rank
+    every PR, not only those with a positive entry."""
+    base = state.graph
+    index = base.pr_index
+    pack = index.pack
+    t_start, t_end = base.bounds[0], max(base.bounds[1], target.created_at)
+    sims = kernels.mean_similarity_row(
+        *pack.pack_one(target.files), pack.tokens, pack.file_off, pack.set_off
+    )
+    raw = pr_pr_raw_row(sims, index.times, _span(t_start, t_end), target.created_at)
+    partners = _top_entries(
+        np.zeros(len(raw), dtype=np.int64),
+        np.arange(len(raw)),
+        raw,
+        index.chronology,
+        base.params.top_m,
+    )
+    pr_v = base.n_vertices
+    contributor_v = base.developers.get(target.contributor, pr_v + 1)
+    kinds = [EdgeKind.PR_CONTRIBUTOR] + [EdgeKind.PR_PR] * len(partners)
+    raws = [weight_pr_contributor(target, t_start, t_end), *raw[partners].tolist()]
+    members = sorted((pr_v, contributor_v))
+    for partner_v in index.vertices[partners].tolist():
+        members += (partner_v, pr_v)
+    weights = [scale_into_range(r, base.raw_range.get(k)) for k, r in zip(kinds, raws)]
+    return EdgeTable.of(
+        [EDGE_KINDS.index(kind) for kind in kinds], [2] * len(kinds), members, raws, weights
+    )
+
+
+def area_corpus():
+    """Nine src/net PRs, two docs PRs and one lib PR, spread over time."""
+    areas = ["src/net"] * 9 + ["docs"] * 2 + ["lib"]
+    return make_corpus(
+        [
+            make_pr(f"p{i:02d}", f"c{i % 3}", T0 + i * 3 * DAY,
+                    [f"{area}/f{i}.c", f"{area}/g{i % 2}.c"],
+                    comments=[(f"r{i % 4}", T0 + i * 3 * DAY + DAY)])
+            for i, area in enumerate(areas)
+        ]
+    )
+
+
+class TestGraftOracle:
+    @pytest.mark.parametrize("files, positive", [
+        (("brand/new.c",), 0),
+        (("docs/f9.c",), 2),
+        (("src/net/g1.c", "lib/x.c"), 10),
+    ])
+    @pytest.mark.parametrize("created", [T0 + 14 * DAY, T0 + 60 * DAY])
+    @pytest.mark.parametrize("contributor", ["c1", "zoe"])
+    def test_overlay_equals_dense_row_oracle(self, files, positive, created,
+                                             contributor):
+        corpus = area_corpus()
+        params = HyperParams(top_m=4)
+        state = prepare(build(corpus, params), corpus, params)
+        target = TargetPR("t", contributor, created, files)
+        expected = dense_overlay_edges(state, target)
+        assert len(expected) == 1 + min(positive, params.top_m)
+        assert graft(state, target).edges == expected
+
+
+class TestRankPruning:
+    @staticmethod
+    def fitted():
+        corpus = area_corpus()
+        params = HyperParams()
+        return prepare(build(corpus, params), corpus, params)
+
+    def test_equals_full_ranking_on_real_scores(self):
+        state = self.fitted()
+        target = TargetPR("t", "c1", T0 + 40 * DAY, ("src/net/g0.c",))
+        graph = graft(state, target)
+        system = ranker.assemble(graph, state.graph.params.alpha, base=state.system)
+        scores = ranker.solve(system, query_vector(graph, target), state.graph.params)
+        scored = list(zip(state.developer_ids, scores[state.developer_vertices]))
+        for k in range(1, len(scored) + 2):
+            full = rank_developers(scored, state.comment_counts, target, k)
+            assert rank(state, target, k) == full
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("contributor", ["c0", "c1", "r2", "zoe"])
+    def test_equals_full_ranking_with_ties_and_the_contributor_near_the_top(
+        self, monkeypatch, k, contributor
+    ):
+        """Several developers tie at the k-th score, and the contributor
+        (when a developer) scores among the top k + 1."""
+        state = self.fitted()
+        by_dev = {"c0": 0.9, "r0": 0.5, "r1": 0.5, "r2": 0.7, "c1": 0.5,
+                  "r3": 0.5, "c2": 0.1}
+        assert set(by_dev) == set(state.developer_ids)
+
+        def solve(system, query, params):
+            scores = np.zeros(system.n_vertices)
+            for dev, v in zip(state.developer_ids, state.developer_vertices):
+                scores[v] = by_dev[dev]
+            return scores
+
+        monkeypatch.setattr(ranker, "solve", solve)
+        target = TargetPR("t", contributor, T0 + 40 * DAY, ("src/net/g0.c",))
+        full = rank_developers(by_dev.items(), state.comment_counts, target, k)
+        assert rank(state, target, k) == full
 
 
 class TestQueryVector:
