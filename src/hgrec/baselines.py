@@ -54,7 +54,7 @@ def ac_recommend(
 
 
 def revfinder_recommend(
-    corpus: ReviewCorpus, target: TargetPR, k: int, unit: str = "components"
+    corpus: ReviewCorpus, target: TargetPR, k: int
 ) -> Recommendation:
     """Accrue each past PR's mean path similarity to its reviewers."""
     if not target.files:
@@ -63,7 +63,7 @@ def revfinder_recommend(
     if corpus.prs:
         # The pack is the corpus's own, built once per fit; PRs without
         # reviewers get a row entry too but credit nobody.
-        pack = corpus.file_pack(unit)
+        pack = corpus.file_pack()
         t_tokens, t_off = pack.pack_one(target.files)
         means = kernels.mean_similarity_row(
             t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off,
@@ -179,15 +179,12 @@ def create_recommender(
     cn_decay: float = 0.8,
 ):
     """Instantiate a fit/recommend recommender by registry name."""
-    params = params or HyperParams()
     if name == "hgrec":
         return HypergraphRecommender(params)
     if name == "ac":
         return _BaselineWrapper("ac-s", ac_recommend, window_days=ac_window_days)
     if name == "revfinder":
-        return _BaselineWrapper(
-            "revfinder-s", revfinder_recommend, unit=params.similarity_unit
-        )
+        return _BaselineWrapper("revfinder-s", revfinder_recommend)
     if name == "chrev":
         return _BaselineWrapper("chrev-s", chrev_recommend)
     if name == "cn":

@@ -80,7 +80,6 @@ def _merge_config(args) -> RunConfig:
             "comment_decay",
             "solver",
             "tol",
-            "similarity_unit",
         )
     }
     effective = {k: v for k, v in param_overrides.items() if v is not None}
@@ -130,12 +129,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     )
     model.add_argument(
         "--tol", type=float, help="iterative solver tolerance [default 1e-10]"
-    )
-    model.add_argument(
-        "--similarity-unit",
-        dest="similarity_unit",
-        choices=("components", "chars"),
-        help="path similarity token unit [default components]",
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -11,7 +12,6 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import ConfigError
 
 SOLVERS = ("direct", "iterative", "auto")
-SIMILARITY_UNITS = ("components", "chars")
 
 # Above this vertex count the "auto" solver switches from the direct
 # factorization to the fixed-point iteration.
@@ -55,7 +55,6 @@ class HyperParams:
     solver         direct | iterative | auto
     tol            stopping tolerance of the iterative solver
     max_iter       iteration cap of the iterative solver
-    similarity_unit  path tokens used by the similarity measure
     """
 
     alpha: float = 0.9
@@ -64,7 +63,6 @@ class HyperParams:
     solver: str = "auto"
     tol: float = 1e-10
     max_iter: int = 10000
-    similarity_unit: str = "components"
 
     def __post_init__(self):
         _check_types(self)
@@ -78,15 +76,10 @@ class HyperParams:
             )
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if self.tol <= 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.similarity_unit not in SIMILARITY_UNITS:
-            raise ConfigError(
-                f"similarity_unit must be one of {SIMILARITY_UNITS}, "
-                f"got {self.similarity_unit!r}"
-            )
 
 
 @dataclass

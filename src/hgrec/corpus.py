@@ -95,14 +95,15 @@ class ReviewCorpus:
     _comment_counts: dict[str, int] | None = field(
         default=None, repr=False, compare=False
     )
-    _file_packs: dict[str, kernels.FilePack] = field(
-        default_factory=dict, repr=False, compare=False
+    _file_pack: kernels.FilePack | None = field(
+        default=None, repr=False, compare=False
     )
     _root: "ReviewCorpus | None" = field(default=None, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # unit -> the root's sweep of its PRs against each other (read-only).
-    _similarity: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
+    # The root's sweep of its PRs against each other (read-only), held by
+    # the root once a slice has read it.
+    _similarity: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
     )
 
     def reviewer_ids(self) -> frozenset[str]:
@@ -126,23 +127,19 @@ class ReviewCorpus:
             self._comment_counts = counts
         return self._comment_counts
 
-    def file_pack(self, unit: str) -> kernels.FilePack:
-        """Every PR's file set packed in corpus order; memoized per unit. A
-        slice gathers its sets from the root's pack and shares its
-        vocabulary, which the kernel reads only for token equality."""
-        if unit not in self._file_packs:
+    def file_pack(self) -> kernels.FilePack:
+        """Every PR's file set packed in corpus order; memoized. A slice
+        gathers its sets from the root's pack and shares its vocabulary,
+        which the kernel reads only for token equality."""
+        if self._file_pack is None:
             if self._root is None:
-                pack = kernels.FilePack.from_file_sets(
-                    [pr.files for pr in self.prs], unit
-                )
+                pack = kernels.FilePack.from_file_sets([pr.files for pr in self.prs])
             else:
-                pack = self._root.file_pack(unit).take(self._positions)
-            self._file_packs[unit] = pack
-        return self._file_packs[unit]
+                pack = self._root.file_pack().take(self._positions)
+            self._file_pack = pack
+        return self._file_pack
 
-    def similarity_entries(
-        self, unit: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def similarity_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positive entries of ``kernels.mean_similarity_entries`` of this
         corpus's PRs against each other: the two PRs' indices in this corpus
         (int32, ``rows`` ascending) and the similarity.
@@ -156,9 +153,9 @@ class ReviewCorpus:
         fit, it would never read its sweep again.
         """
         root = self._root or self
-        sweep = root._similarity.get(unit)
+        sweep = root._similarity
         if sweep is None:
-            pack = root.file_pack(unit)
+            pack = root.file_pack()
             sweep = kernels.mean_similarity_entries(
                 pack.tokens, pack.file_off, pack.set_off,
                 pack.tokens, pack.file_off, pack.set_off,
@@ -167,7 +164,7 @@ class ReviewCorpus:
             if self._root is not None:
                 for part in sweep:
                     part.flags.writeable = False
-                root._similarity[unit] = sweep
+                root._similarity = sweep
         at = self._positions
         if at is None:
             return sweep

@@ -243,17 +243,15 @@ def weight_pr_contributor(pr: PullRequest, t_start: int, t_end: int) -> float:
     return (pr.created_at - t_start) / span
 
 
-def path_similarity(f1: str, f2: str, unit: str = "components") -> float:
+def path_similarity(f1: str, f2: str) -> float:
     """Shared-prefix fraction of two paths, in [0, 1].
 
-    Both length and prefix are measured in path components by default
-    (unit="chars" switches to characters). Equals 1 iff the token
-    sequences are identical.
+    Both length and prefix are measured in ``/``-separated path components.
+    Equals 1 iff the component sequences are identical.
     """
     if not f1 or not f2:
         raise ValueError("paths must be non-empty")
-    a = kernels.tokenize(f1, unit)
-    b = kernels.tokenize(f2, unit)
+    a, b = f1.split("/"), f2.split("/")
     lcp = 0
     for x, y in zip(a, b):
         if x != y:
@@ -262,21 +260,13 @@ def path_similarity(f1: str, f2: str, unit: str = "components") -> float:
     return lcp / max(len(a), len(b))
 
 
-def weight_pr_pr(
-    p1: PullRequest,
-    p2: PullRequest,
-    t_start: int,
-    t_end: int,
-    unit: str = "components",
-) -> float:
+def weight_pr_pr(p1: PullRequest, p2: PullRequest, t_start: int, t_end: int) -> float:
     """Mean pairwise file similarity of two PRs, damped by their time gap."""
     if not p1.files or not p2.files:
         raise ValueError("both PRs need a non-empty file set")
     # fsum makes the result independent of file iteration order, so the
     # weight is exactly symmetric in its two arguments.
-    total = math.fsum(
-        path_similarity(f1, f2, unit) for f1 in p1.files for f2 in p2.files
-    )
+    total = math.fsum(path_similarity(f1, f2) for f1 in p1.files for f2 in p2.files)
     span = _span(t_start, t_end)
     gap = abs(p1.created_at - p2.created_at) / span if span else 0.0
     return total / (len(p1.files) * len(p2.files)) * math.exp(-gap)
@@ -410,10 +400,9 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     # Pairwise PR links: every positive entry of the corpus's sweep, damped by
     # this window's time gaps; a pair becomes an edge when either endpoint
     # ranks it within its own top-m. Zero-weight pairs never qualify.
-    unit = params.similarity_unit
     times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
     order_rank = _chronology_rank(corpus.prs)
-    rows, cols, sims = corpus.similarity_entries(unit)
+    rows, cols, sims = corpus.similarity_entries()
     off_diagonal = rows != cols
     rows, cols = rows[off_diagonal], cols[off_diagonal]
     raw = pr_pr_raw_row(
@@ -446,7 +435,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
         bounds=(t_start, t_end),
         raw_range={},
         params=params,
-        pr_index=PRIndex(corpus.file_pack(unit), times, order_rank, vertex_of),
+        pr_index=PRIndex(corpus.file_pack(), times, order_rank, vertex_of),
     )
     return normalize_weights(graph)
 

@@ -16,7 +16,7 @@ sums its weights in input order; a skipped pair's term is 0.0, and adding
 
 import numpy as np
 
-from .pack import FilePack, FirstTokenGrouping, tokenize
+from .pack import FilePack, FirstTokenGrouping
 
 BACKEND = "numpy"
 
@@ -112,9 +112,7 @@ def mean_similarity_entries(
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def mean_similarity_row(
-    t_tokens, t_off, tokens, file_off, set_off, out=None, *, grouping=None
-):
+def mean_similarity_row(t_tokens, t_off, tokens, file_off, set_off, *, grouping=None):
     """Mean pairwise prefix similarity of one file set against many: the one
     target set of ``mean_similarity_entries``, every entry written.
 
@@ -131,9 +129,7 @@ def mean_similarity_row(
     a, b = _group_pairs(np.arange(len(t_lens)), lo, counts, group.by_first)
     term = _terms(t_tokens, t_off, t_lens, a, tokens, file_off, group.lens, b)
     sums = np.bincount(group.set_of[b], weights=term, minlength=len(group.sizes))
-    if out is None:
-        out = np.empty(len(group.sizes), dtype=np.float64)
-    return np.divide(sums, group.sizes * len(t_lens), out=out)
+    return sums / (group.sizes * len(t_lens))
 
 
 __all__ = [
@@ -142,5 +138,4 @@ __all__ = [
     "FirstTokenGrouping",
     "mean_similarity_entries",
     "mean_similarity_row",
-    "tokenize",
 ]

@@ -1,7 +1,7 @@
 """Flat integer packing of file-path sets for the pairwise similarity kernel.
 
-Paths are tokenized (into components or characters), tokens interned to int32
-ids, and a whole corpus of file sets is laid out as three flat arrays:
+Paths are split into their ``/``-separated components, components interned
+to int32 ids, and a whole corpus of file sets is laid out as three flat arrays:
 
     tokens    int32[total]    token ids of all files, concatenated
     file_off  int64[nf + 1]   file k  = tokens[file_off[k] : file_off[k+1]]
@@ -21,13 +21,9 @@ from typing import Sequence
 import numpy as np
 
 
-def tokenize(path: str, unit: str) -> list[str]:
-    return path.split("/") if unit == "components" else list(path)
-
-
 def _check_path(path: str) -> None:
-    # In characters an empty path has no tokens, and its similarity to
-    # another empty path would be 0/0.
+    # An empty path would pack as one empty token; the export parser and
+    # ``hypergraph.path_similarity`` reject it too, so the pack does as well.
     if not path:
         raise ValueError("cannot pack an empty file path")
 
@@ -70,7 +66,6 @@ class FirstTokenGrouping:
 
 @dataclass
 class FilePack:
-    unit: str
     tokens: np.ndarray
     file_off: np.ndarray
     set_off: np.ndarray
@@ -94,9 +89,7 @@ class FilePack:
         return self._grouping
 
     @classmethod
-    def from_file_sets(
-        cls, file_sets: Sequence[Sequence[str]], unit: str
-    ) -> "FilePack":
+    def from_file_sets(cls, file_sets: Sequence[Sequence[str]]) -> "FilePack":
         vocab: dict[str, int] = {}
         tokens: list[int] = []
         file_off = [0]
@@ -106,13 +99,12 @@ class FilePack:
                 raise ValueError("cannot pack an empty file set")
             for path in files:
                 _check_path(path)
-                for tok in tokenize(path, unit):
+                for tok in path.split("/"):
                     tid = vocab.setdefault(tok, len(vocab))
                     tokens.append(tid)
                 file_off.append(len(tokens))
             set_off.append(len(file_off) - 1)
         return cls(
-            unit=unit,
             tokens=np.asarray(tokens, dtype=np.int32),
             file_off=np.asarray(file_off, dtype=np.int64),
             set_off=np.asarray(set_off, dtype=np.int64),
@@ -132,7 +124,7 @@ class FilePack:
         offsets = [0]
         for path in files:
             _check_path(path)
-            for tok in tokenize(path, self.unit):
+            for tok in path.split("/"):
                 tid = self.vocab.get(tok)
                 if tid is None:
                     tid = fresh.setdefault(tok, -1 - len(fresh))
@@ -158,7 +150,7 @@ class FilePack:
             np.arange(file_off[-1])
             + np.repeat(self.file_off[files] - file_off[:-1], lens)
         ]
-        return FilePack(self.unit, tokens, file_off, set_off, self.vocab)
+        return FilePack(tokens, file_off, set_off, self.vocab)
 
     def slice_one(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """View of set ``index`` rebased to local offsets."""

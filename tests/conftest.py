@@ -15,6 +15,10 @@ from hgrec.hypergraph import EDGE_KINDS, EdgeKind, EdgeTable, Hypergraph
 
 DAY = 86400
 REPO = Path(__file__).resolve().parent.parent
+# A monorepo-style root of 9 components. Files moved under it all share their
+# first component, so a pack of them is one first-token group, and every pair
+# of them extends its shared prefix at least 9 steps.
+DEEP_ROOT = "repo/packages/core/src/main/java/org/example/app"
 
 
 def load_synth():

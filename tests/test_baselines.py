@@ -16,7 +16,7 @@ from hgrec.errors import HgrecError
 from hgrec.hypergraph import path_similarity
 from hgrec.recommender import TargetPR
 
-from conftest import DAY, make_corpus, make_pr
+from conftest import DAY, DEEP_ROOT, make_corpus, make_pr
 
 T0 = 1_600_000_000
 
@@ -114,7 +114,7 @@ class TestRevfinder:
         pack = kernels.FilePack.from_file_sets
         monkeypatch.setattr(
             kernels.FilePack, "from_file_sets",
-            staticmethod(lambda sets, unit: packed.append(unit) or pack(sets, unit)),
+            staticmethod(lambda sets: packed.append(len(sets)) or pack(sets)),
         )
         corpus = make_corpus([
             make_pr("p1", "ann", T0, ["src/a.c"], comments=[("rex", T0 + DAY)]),
@@ -126,15 +126,15 @@ class TestRevfinder:
         for files in (["src/a.c"], ["src/b.c", "lib/c.c"], ["docs/x.md"]):
             revfinder.recommend(target("cy", files), 2)
             hgrec.recommend(target("cy", files), 2)
-        assert packed == ["components"]
+        assert packed == [3]
 
-    @pytest.mark.parametrize("unit", ["components", "chars"])
-    def test_scores_equal_scalar_double_loop(self, unit):
+    @pytest.mark.parametrize("root", ["", f"{DEEP_ROOT}/"], ids=["shallow", "deep"])
+    def test_scores_equal_scalar_double_loop(self, root):
         rng = random.Random(5)
         parts = ["src", "lib", "net", "a", "b", "x.c", "y.h", "z.md"]
 
         def paths(n):
-            return sorted({"/".join(rng.choices(parts, k=rng.randint(1, 4)))
+            return sorted({root + "/".join(rng.choices(parts, k=rng.randint(1, 4)))
                            for _ in range(n)})
 
         people = ["ann", "bo", "cy", "di", "ed"]
@@ -153,11 +153,11 @@ class TestRevfinder:
                 total = 0.0
                 for tf in files:
                     for pf in pr.files:
-                        total += path_similarity(tf, pf, unit)
+                        total += path_similarity(tf, pf)
                 mean = total / (len(files) * len(pr.files))
                 for reviewer in pr.reviewers():
                     expected[reviewer] = expected.get(reviewer, 0.0) + mean
-            result = revfinder_recommend(corpus, target("ann", files), k=10, unit=unit)
+            result = revfinder_recommend(corpus, target("ann", files), k=10)
             expected.pop("ann", None)
             assert dict(result.candidates) == expected
 

@@ -317,8 +317,7 @@ class TestRecommend:
             "created_at": "2020-08-01T00:00:00Z",
             "files": files,
         }))
-        code = main(["recommend", "--corpus", corpus_artifact, "--target", str(target),
-                     "--similarity-unit", "chars"])
+        code = main(["recommend", "--corpus", corpus_artifact, "--target", str(target)])
         assert code == 2
         assert "target: files" in capsys.readouterr().err
 
@@ -478,11 +477,13 @@ class TestConfig:
             ('{"params": {"alpha": "x"}}', RECOMMEND, "alpha"),
             ('{"ks": "5"}', RECOMMEND, "ks"),
             ('{"params": {"bogus": 1}}', RECOMMEND, "bogus"),
+            ('{"params": {"similarity_unit": "components"}}', RECOMMEND,
+             "unknown params keys: ['similarity_unit']"),
             ("{}", ["evaluate", "--ks", "a"], "ks"),
             ("{}", ["evaluate", "--ks", "1,,3"], "ks"),
         ],
         ids=["not-json", "alpha-string", "ks-string", "unknown-param",
-             "ks-flag-letter", "ks-flag-empty-item"],
+             "similarity-unit-param", "ks-flag-letter", "ks-flag-empty-item"],
     )
     def test_malformed_config_exits_2(
         self, tmp_path, corpus_artifact, capsys, text, command, field
@@ -494,6 +495,34 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_tol_exits_2_before_any_fit(
+        self, tmp_path, corpus_artifact, capsys, monkeypatch, value, source
+    ):
+        from hgrec.recommender import HypergraphRecommender
+
+        fits = []
+        monkeypatch.setattr(HypergraphRecommender, "fit", fits.append)
+        args = [*self.RECOMMEND, "--corpus", corpus_artifact, "--solver", "iterative"]
+        if source == "flag":
+            args += ["--tol", value]
+        else:
+            path = tmp_path / "config.json"
+            literal = {"inf": "Infinity", "nan": "NaN"}[value]
+            path.write_text(f'{{"params": {{"tol": {literal}}}}}')
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        assert fits == []
+        assert capsys.readouterr().err.startswith("error: tol must be")
+
+    def test_similarity_unit_flag_is_gone(self, corpus_artifact, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.RECOMMEND, "--corpus", corpus_artifact,
+                  "--similarity-unit", "components"])
+        assert exit_info.value.code == 2
+        assert "--similarity-unit" in capsys.readouterr().err
+
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["evaluate", "--help"])
@@ -501,6 +530,6 @@ class TestConfig:
         text = capsys.readouterr().out
         for flag in ("--recommenders", "--ks", "--initial-months", "--max-rounds",
                      "--output-dir", "--jobs", "--alpha", "--top-m",
-                     "--comment-decay", "--solver", "--tol", "--similarity-unit",
-                     "--ac-window-days", "--cn-decay", "--rd-scope", "--config"):
+                     "--comment-decay", "--solver", "--tol", "--ac-window-days",
+                     "--cn-decay", "--rd-scope", "--config"):
             assert flag in text

@@ -20,7 +20,7 @@ from hgrec.corpus import (
 from hgrec.errors import EmptyCorpusError, ExportParseError, HgrecError
 from hgrec.hypergraph import path_similarity
 
-from conftest import DAY, make_corpus, make_pr
+from conftest import DAY, DEEP_ROOT, make_corpus, make_pr
 
 T0 = parse_timestamp("2020-01-01T00:00:00Z")
 
@@ -326,22 +326,22 @@ class TestSlices:
             [make_pr(f"p{i}", "a", T0 + i, [f"src/d{i % 2}/f{i}.c"]) for i in range(4)]
         )
         # A root alone sweeps once and keeps nothing.
-        whole = corpus.similarity_entries("components")
+        whole = corpus.similarity_entries()
         assert len(sweeps) == 1
-        assert corpus._similarity == {}
+        assert corpus._similarity is None
         # The first window sweeps the root and stores that sweep, read-only.
         first = corpus.slice_until(T0 + 2)
-        reads = [(first, first.similarity_entries("components"))]
+        reads = [(first, first.similarity_entries())]
         assert len(sweeps) == 2
-        stored = corpus._similarity["components"]
+        stored = corpus._similarity
         assert stored[0].tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
         assert not any(part.flags.writeable for part in stored)
         # Later windows, a window's window and the root read it: no new sweep.
         later = corpus.slice_until(T0 + 3)
         for window in (later, later.slice_until(T0 + 1), corpus):
-            reads.append((window, window.similarity_entries("components")))
+            reads.append((window, window.similarity_entries()))
         assert len(sweeps) == 2
-        assert corpus._similarity["components"] is stored
+        assert corpus._similarity is stored
         # Every read gives the root's entries between the window's PRs.
         for window, got in reads:
             n = len(window.prs)
@@ -349,23 +349,25 @@ class TestSlices:
             for a, b in zip(got, whole):
                 np.testing.assert_array_equal(a, b[head])
 
-    @pytest.mark.parametrize("unit", ["components", "chars"])
-    def test_stored_sweep_keeps_int32_indices_of_the_same_entries(self, unit):
+    @pytest.mark.parametrize("root", ["", f"{DEEP_ROOT}/"], ids=["shallow", "deep"])
+    def test_stored_sweep_keeps_int32_indices_of_the_same_entries(self, root):
         """The stored sweep's indices are int32 (16 bytes an entry), and
         its entries are every positive mean of the naive pairwise loop."""
         files = [["src/a/x.c"], ["src/b.c", "docs/c.md"], ["lib/q"],
                  ["src/a/y.c", "lib/r"], ["docs/c.md"]]
+        # In each PR's file order (sorted), the order the sweep adds in.
+        files = [sorted(root + f for f in fs) for fs in files]
         corpus = make_corpus(
             [make_pr(f"p{i}", "a", T0 + i, f) for i, f in enumerate(files)]
         )
         window = corpus.slice_until(T0 + 3)
-        for got in (window.similarity_entries(unit), corpus._similarity[unit],
-                    corpus.similarity_entries(unit)):
+        for got in (window.similarity_entries(), corpus._similarity,
+                    corpus.similarity_entries()):
             assert got[0].dtype == np.int32 and got[1].dtype == np.int32
-        rows, cols, values = corpus._similarity[unit]
+        rows, cols, values = corpus._similarity
         naive = [
             [
-                sum(path_similarity(a, b, unit) for a in fa for b in fb)
+                sum(path_similarity(a, b) for a in fa for b in fb)
                 / (len(fa) * len(fb))
                 for fb in files
             ]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from hgrec.config import SIMILARITY_UNITS, HyperParams
+from hgrec.config import HyperParams
 from hgrec.corpus import ReviewCorpus, clean, parse_export
 from hgrec.evaluation import make_rounds
 from hgrec.fixtures import BOT_PATTERN
@@ -27,7 +27,7 @@ from hgrec.hypergraph import (
     weight_pr_reviewer,
 )
 
-from conftest import DAY, load_synth, make_corpus, make_pr
+from conftest import DAY, DEEP_ROOT, load_synth, make_corpus, make_pr
 
 T0 = 1_600_000_000
 T1 = T0 + 100 * DAY  # corpus window used throughout
@@ -98,9 +98,11 @@ class TestPathSimilarity:
     def test_disjoint_trees(self):
         assert path_similarity("src/x.c", "docs/y.md") == 0.0
 
-    def test_char_unit(self):
-        # 4 shared leading chars of "abcd" (4) vs "abcz" (4).
-        assert path_similarity("abcd", "abcz", unit="chars") == pytest.approx(0.75)
+    def test_deep_paths(self):
+        # 20 components against 22, the first 15 shared.
+        stem = [f"d{i}" for i in range(15)]
+        f1, f2 = "/".join(stem + ["a"] * 5), "/".join(stem + ["b"] * 7)
+        assert path_similarity(f1, f2) == 15 / 22
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
@@ -320,30 +322,25 @@ class TestBuild:
             got_pairs.add(tuple(ids))
         assert got_pairs == expected_pairs
 
-    def test_char_unit_build(self, specialist_corpus):
-        graph = build(specialist_corpus, HyperParams(similarity_unit="chars"))
-        by_id = {pr.id: pr for pr in specialist_corpus.prs}
-        edge_ids = graph.by_kind[EdgeKind.PR_PR]
-        assert edge_ids
-        for edge_id in edge_ids:
-            edge = graph.edges[edge_id]
-            p1, p2 = (by_id[graph.vertices[v].ref] for v in edge.members)
-            expected = weight_pr_pr(
-                p1, p2, specialist_corpus.t_start, specialist_corpus.t_end,
-                unit="chars",
-            )
-            assert edge.raw_weight == pytest.approx(expected, abs=1e-12)
-
-    def test_build_edge_weights_match_scalar_formula(self, specialist_corpus):
+    @pytest.mark.parametrize("root", ["", f"{DEEP_ROOT}/"], ids=["shallow", "deep"])
+    def test_build_edge_weights_match_scalar_formula(self, specialist_corpus, root):
         """Dual route: kernel-computed raw weights vs the naive scalar op."""
-        graph = build(specialist_corpus, HyperParams())
-        by_id = {pr.id: pr for pr in specialist_corpus.prs}
+        corpus = make_corpus(
+            [
+                make_pr(pr.id, pr.contributor, pr.created_at,
+                        [root + f for f in pr.files],
+                        comments=[(c.author, c.created_at) for c in pr.comments])
+                for pr in specialist_corpus.prs
+            ],
+            specialist_corpus.t_start, specialist_corpus.t_end,
+        )
+        graph = build(corpus, HyperParams())
+        by_id = {pr.id: pr for pr in corpus.prs}
+        assert graph.by_kind[EdgeKind.PR_PR]
         for edge_id in graph.by_kind[EdgeKind.PR_PR]:
             edge = graph.edges[edge_id]
             p1, p2 = (by_id[graph.vertices[v].ref] for v in edge.members)
-            expected = weight_pr_pr(
-                p1, p2, specialist_corpus.t_start, specialist_corpus.t_end
-            )
+            expected = weight_pr_pr(p1, p2, corpus.t_start, corpus.t_end)
             assert edge.raw_weight == pytest.approx(expected, abs=1e-12)
 
 
@@ -351,17 +348,23 @@ class TestBuild:
 # The similarity store a corpus shares with its slices.
 
 
-def _synth_corpus():
-    """A small corpus of the shape the benchmark generates."""
+def _synth_corpus(root=""):
+    """A small corpus of the shape the benchmark generates, every file path
+    prefixed with ``root``."""
     synth = load_synth()
     records, _ = synth.generate(synth.Shape(prs=100, months=16), seed=7)
+    for record in records:
+        record["files"] = [root + f for f in record["files"]]
     return clean(parse_export(synth.to_jsonl(records).splitlines()))
 
 
-@pytest.fixture(scope="module", params=["synth", "fixture"])
+@pytest.fixture(scope="module", params=["synth", "deep", "fixture"])
 def history(request):
     if request.param == "synth":
         return _synth_corpus()
+    if request.param == "deep":
+        # Every file under one root: every pair of PRs is similar.
+        return _synth_corpus(f"{DEEP_ROOT}/")
     with open(FIXTURE, encoding="utf-8") as handle:
         return clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
 
@@ -388,21 +391,19 @@ class TestSharedSimilarityStore:
     """A slice reads its kernel rows from its root's store, and its graph
     equals the one a corpus of the same PRs builds alone, bit for bit."""
 
-    @pytest.mark.parametrize("unit", SIMILARITY_UNITS)
     @pytest.mark.parametrize("order", [_fresh, _shuffled], ids=["by-time", "shuffled"])
-    def test_round_slices_and_their_slices(self, history, unit, order):
+    def test_round_slices_and_their_slices(self, history, order):
         root = order(history)
-        params = HyperParams(similarity_unit=unit)
+        params = HyperParams()
         for round_ in make_rounds(history):
             train = root.slice_until(round_.train_cut)
             _assert_builds_fresh(train, params)
             stamps = sorted(pr.created_at for pr in train.prs)
             _assert_builds_fresh(train.slice_until(stamps[len(stamps) // 2]), params)
 
-    @pytest.mark.parametrize("unit", SIMILARITY_UNITS)
-    def test_root_built_after_its_child(self, history, unit):
+    def test_root_built_after_its_child(self, history):
         root = _shuffled(history)
-        params = HyperParams(similarity_unit=unit)
+        params = HyperParams()
         _assert_builds_fresh(root.slice_until(make_rounds(history)[0].train_cut), params)
         _assert_builds_fresh(root, params)
 
@@ -429,42 +430,29 @@ class TestSharedSimilarityStore:
 # the bundled fixture, computed before edges were stored as arrays.
 
 PINNED_GRAPHS = {
-    "components": {
-        "full": "b208a876ca61c20fe14f226b750a5a59ea7103eca9fef5573936f31a550200c8",
-        1: "aec9cc04f16db2fbac2db7dab79cf827f0817fe7c0a032ea7cc306f96a7f741f",
-        2: "5b7ea0e197b807266b73be42ef3e526a1d4df46660f780efd5708c0b06d48edb",
-        3: "baeff424fdd19d7a08fce4dd351dfa4c322f19e354b5314456dde260e5adc604",
-        4: "421443dfbe71732c56e03bf2ea350beda5179024e2ee965ac25f05d64075f055",
-        5: "9a128288194121458ef71f7889286017c6d8199203b440acc34572a6678efd42",
-        6: "0d6a432a8ffed4f267606c841ce1b86cff447c23ea944f168d93ffff5ed0a0fc",
-        7: "34a4854fc637f41585d9a5694187f7743d94a2525d32533fb822b36785780cf7",
-    },
-    "chars": {
-        "full": "e6255e57aead016a97981bc8f67ea9c6b8a55001ce3cd1d8982dcdb549b593da",
-        1: "872d4f48f36e36f7a36fb4305f8b5bcae6720561b515a47a36e1c313f8f56cc3",
-        2: "4068ae38dcc42883c2da0fd646986db72cec8a6893b4804e3749421f6abc9e38",
-        3: "4280157d2a784670c80f3f2675f97bb6139fcf3381b82bd4a0165a5a8a87d3a4",
-        4: "7dc15549c40203b7824348ef772db4e32f465fd5c9ad66163ea3f10e10e641a6",
-        5: "8916949425ec58430e1f79bc8cb63acd202ade18c37d40056fa8d6893f0ff960",
-        6: "32b874f4c6ff390f0d678883794d73af1262926a060a03cfcda46eaec5da5156",
-        7: "05e41f032ba8940e8bddb10290e18641c4e9c599b2a7decd8904c7a28c4784dc",
-    },
+    "full": "b208a876ca61c20fe14f226b750a5a59ea7103eca9fef5573936f31a550200c8",
+    1: "aec9cc04f16db2fbac2db7dab79cf827f0817fe7c0a032ea7cc306f96a7f741f",
+    2: "5b7ea0e197b807266b73be42ef3e526a1d4df46660f780efd5708c0b06d48edb",
+    3: "baeff424fdd19d7a08fce4dd351dfa4c322f19e354b5314456dde260e5adc604",
+    4: "421443dfbe71732c56e03bf2ea350beda5179024e2ee965ac25f05d64075f055",
+    5: "9a128288194121458ef71f7889286017c6d8199203b440acc34572a6678efd42",
+    6: "0d6a432a8ffed4f267606c841ce1b86cff447c23ea944f168d93ffff5ed0a0fc",
+    7: "34a4854fc637f41585d9a5694187f7743d94a2525d32533fb822b36785780cf7",
 }
 
 
-def _graph_sha256(corpus, unit):
-    graph = build(corpus, HyperParams(similarity_unit=unit))
+def _graph_sha256(corpus):
+    graph = build(corpus, HyperParams())
     text = json.dumps(graph_to_dict(graph), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("unit", SIMILARITY_UNITS)
-def test_fixture_graphs_are_pinned(unit):
+def test_fixture_graphs_are_pinned():
     """The whole fixture and every training window of its backtest build
     byte-identical graphs."""
     with open(FIXTURE, encoding="utf-8") as handle:
         corpus = clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
-    got = {"full": _graph_sha256(corpus, unit)}
+    got = {"full": _graph_sha256(corpus)}
     for round_ in make_rounds(corpus):
-        got[round_.index] = _graph_sha256(corpus.slice_until(round_.train_cut), unit)
-    assert got == PINNED_GRAPHS[unit]
+        got[round_.index] = _graph_sha256(corpus.slice_until(round_.train_cut))
+    assert got == PINNED_GRAPHS

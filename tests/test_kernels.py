@@ -1,5 +1,6 @@
 """The numpy path-similarity kernel against the scalar loop, bit for bit."""
 
+import os
 import random
 import tracemalloc
 
@@ -14,26 +15,35 @@ from hgrec.kernels import FilePack, FirstTokenGrouping
 from hgrec.hypergraph import path_similarity
 from hgrec.recommender import HypergraphRecommender
 
-from conftest import DAY, load_synth, make_corpus, make_pr
+from conftest import DAY, DEEP_ROOT, load_synth, make_corpus, make_pr
 
 
-def random_file_sets(rng, n_sets, unit):
+def random_file_sets(rng, n_sets, shape="shallow"):
+    """Sets of 1-4 files, each 1-5 components drawn from a few names. In the
+    ``deep`` shape each file lies under ``DEEP_ROOT`` (10-14 components): the
+    pack is one first-token group and prefixes extend 9 steps or more."""
     parts = ["src", "lib", "net", "ui", "db", "docs", "a", "b", "x.c", "y.c", "z.md"]
+    root = [DEEP_ROOT] if shape == "deep" else []
     sets = []
     for _ in range(n_sets):
         files = []
         for _ in range(rng.randint(1, 4)):
             depth = rng.randint(1, 5)
-            files.append("/".join(rng.choice(parts) for _ in range(depth)))
+            files.append("/".join(root + [rng.choice(parts) for _ in range(depth)]))
         sets.append(sorted(set(files)))
     return sets
 
 
-def naive_mean_similarity(files_a, files_b, unit):
+@pytest.fixture(params=["shallow", "deep"])
+def shape(request):
+    return request.param
+
+
+def naive_mean_similarity(files_a, files_b):
     total = 0.0
     for fa in files_a:
         for fb in files_b:
-            total += path_similarity(fa, fb, unit)
+            total += path_similarity(fa, fb)
     return total / (len(files_a) * len(files_b))
 
 
@@ -43,57 +53,44 @@ def kernel_row(pack, t_tokens, t_off):
     )
 
 
-def assert_rows_exact(sets, targets, unit):
-    pack = FilePack.from_file_sets(sets, unit)
+def assert_rows_exact(sets, targets):
+    pack = FilePack.from_file_sets(sets)
     for target in targets:
         row = kernel_row(pack, *pack.pack_one(target)).tolist()
-        assert row == [naive_mean_similarity(target, s, unit) for s in sets]
+        assert row == [naive_mean_similarity(target, s) for s in sets]
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_python_kernel_matches_naive_similarity(unit):
+def test_python_kernel_matches_naive_similarity(shape):
     rng = random.Random(11)
-    sets = random_file_sets(rng, 12, unit)
-    pack = FilePack.from_file_sets(sets, unit)
+    sets = random_file_sets(rng, 12, shape)
+    pack = FilePack.from_file_sets(sets)
     for i in range(len(sets)):
         row = kernel_row(pack, *pack.slice_one(i)).tolist()
-        assert row == [naive_mean_similarity(sets[i], s, unit) for s in sets]
+        assert row == [naive_mean_similarity(sets[i], s) for s in sets]
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_one_large_set_matches_naive_similarity(unit):
+def test_one_large_set_matches_naive_similarity(shape):
     # One set far larger than the rest: its partner slots outlive every
     # other set's, and its many-term sum is the easiest to reorder.
     rng = random.Random(17)
-    sets = random_file_sets(rng, 30, unit)
+    sets = random_file_sets(rng, 30, shape)
     sets.insert(7, sorted({f for files in sets for f in files}))
-    assert_rows_exact(sets, sets[5:10], unit)
+    assert_rows_exact(sets, sets[5:10])
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_unseen_tokens_match_naive_similarity(unit):
+def test_unseen_tokens_match_naive_similarity(shape):
     rng = random.Random(19)
-    sets = random_file_sets(rng, 20, unit)
+    sets = random_file_sets(rng, 20, shape)
     targets = [
         ["src/new/x.c", "brand/new.md"],
         ["zz", "src/lib/q.h", "src/net"],
         [files[0] + "/deeper" for files in sets[:3]],
     ]
-    assert_rows_exact(sets, targets, unit)
-
-
-def test_out_is_filled_and_returned():
-    pack = FilePack.from_file_sets([["src/a/x.c"], ["src/b.c", "docs/c.md"]], "components")
-    out = np.full(2, np.nan)
-    row = kernels.mean_similarity_row(
-        *pack.pack_one(["src/a/y.c"]), pack.tokens, pack.file_off, pack.set_off, out=out
-    )
-    assert row is out
-    assert out.tolist() == [2 / 3, (1 / 3 + 0.0) / 2]
+    assert_rows_exact(sets, targets)
 
 
 def test_pack_one_unseen_tokens_never_match_corpus():
-    pack = FilePack.from_file_sets([["src/a/x.c"]], "components")
+    pack = FilePack.from_file_sets([["src/a/x.c"]])
     tokens, offsets = pack.pack_one(["brand/new/path.c"])
     assert (tokens < 0).all()
     row = kernels.mean_similarity_row(
@@ -103,7 +100,7 @@ def test_pack_one_unseen_tokens_never_match_corpus():
 
 
 def test_pack_one_known_tokens_match():
-    pack = FilePack.from_file_sets([["src/a/x.c", "src/a/y.c"]], "components")
+    pack = FilePack.from_file_sets([["src/a/x.c", "src/a/y.c"]])
     tokens, offsets = pack.pack_one(["src/a/x.c"])
     row = kernels.mean_similarity_row(
         tokens, offsets, pack.tokens, pack.file_off, pack.set_off
@@ -113,7 +110,7 @@ def test_pack_one_known_tokens_match():
 
 
 def test_pack_one_does_not_mutate_vocab():
-    pack = FilePack.from_file_sets([["src/a/x.c"]], "components")
+    pack = FilePack.from_file_sets([["src/a/x.c"]])
     before = dict(pack.vocab)
     pack.pack_one(["other/thing.c"])
     assert pack.vocab == before
@@ -121,34 +118,32 @@ def test_pack_one_does_not_mutate_vocab():
 
 def test_empty_file_set_rejected():
     with pytest.raises(ValueError):
-        FilePack.from_file_sets([[]], "components")
-    pack = FilePack.from_file_sets([["a"]], "components")
+        FilePack.from_file_sets([[]])
+    pack = FilePack.from_file_sets([["a"]])
     with pytest.raises(ValueError):
         pack.pack_one([])
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_empty_path_rejected(unit):
+def test_empty_path_rejected():
     with pytest.raises(ValueError, match="empty file path"):
-        FilePack.from_file_sets([["a"], ["b", ""]], unit)
-    pack = FilePack.from_file_sets([["a"]], unit)
+        FilePack.from_file_sets([["a"], ["b", ""]])
+    pack = FilePack.from_file_sets([["a"]])
     with pytest.raises(ValueError, match="empty file path"):
         pack.pack_one(["a", ""])
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_rows_against_a_taken_pack_equal_rows_against_its_own(unit):
+def test_rows_against_a_taken_pack_equal_rows_against_its_own(shape):
     """A slice's pack gathers the root's sets and shares the root's
     vocabulary; the kernel compares tokens only for equality, so every row
     equals the row against the slice's sets packed alone, exactly, even for
     a target token that only the root's other sets hold."""
     rng = random.Random(23)
-    sets = random_file_sets(rng, 30, unit)
+    sets = random_file_sets(rng, 30, shape)
     sets[0] = ["only/in/the/root.q"]
-    root = FilePack.from_file_sets(sets, unit)
+    root = FilePack.from_file_sets(sets)
     picks = np.asarray(sorted(rng.sample(range(1, len(sets)), 12))[::-1])
     taken = root.take(picks)
-    alone = FilePack.from_file_sets([sets[i] for i in picks], unit)
+    alone = FilePack.from_file_sets([sets[i] for i in picks])
     assert taken.vocab is root.vocab
     assert np.array_equal(np.diff(taken.set_off), np.diff(alone.set_off))
     assert np.array_equal(np.diff(taken.file_off), np.diff(alone.file_off))
@@ -171,7 +166,7 @@ def concatenated(t_pack_sets):
     return tokens, np.asarray(file_off), np.asarray(set_off)
 
 
-def assert_entries_exact(t_pack_sets, pack, t_sets, sets, unit):
+def assert_entries_exact(t_pack_sets, pack, t_sets, sets):
     """Whole-pack entries == stacked rows == the naive oracle, with ``==``."""
     rows, cols, values = kernels.mean_similarity_entries(
         *concatenated(t_pack_sets), pack.tokens, pack.file_off, pack.set_off
@@ -183,7 +178,7 @@ def assert_entries_exact(t_pack_sets, pack, t_sets, sets, unit):
     assert cols.tolist() == expect_cols.tolist()
     assert values.tolist() == stacked[expect_rows, expect_cols].tolist()
     assert stacked.tolist() == [
-        [naive_mean_similarity(t, s, unit) for s in sets] for t in t_sets
+        [naive_mean_similarity(t, s) for s in sets] for t in t_sets
     ]
 
 
@@ -194,26 +189,24 @@ def chunk_pairs(request, monkeypatch):
         monkeypatch.setattr(kernels, "CHUNK_PAIRS", 1)
 
 
-def sweep_sets(rng, unit):
+def sweep_sets(rng, shape):
     """Random sets, some of a single file, and one set holding every file."""
-    sets = random_file_sets(rng, 24, unit)
+    sets = random_file_sets(rng, 24, shape)
     sets[3:6] = [[files[0]] for files in sets[3:6]]
     sets.insert(9, sorted({f for files in sets for f in files}))
     return sets
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_whole_pack_entries_equal_stacked_rows_and_naive(unit, chunk_pairs):
-    sets = sweep_sets(random.Random(29), unit)
-    pack = FilePack.from_file_sets(sets, unit)
+def test_whole_pack_entries_equal_stacked_rows_and_naive(shape, chunk_pairs):
+    sets = sweep_sets(random.Random(29), shape)
+    pack = FilePack.from_file_sets(sets)
     t_pack_sets = [pack.slice_one(i) for i in range(pack.n_sets)]
-    assert_entries_exact(t_pack_sets, pack, sets, sets, unit)
+    assert_entries_exact(t_pack_sets, pack, sets, sets)
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_entries_of_unseen_targets_equal_stacked_rows_and_naive(unit, chunk_pairs):
-    sets = sweep_sets(random.Random(31), unit)
-    pack = FilePack.from_file_sets(sets, unit)
+def test_entries_of_unseen_targets_equal_stacked_rows_and_naive(shape, chunk_pairs):
+    sets = sweep_sets(random.Random(31), shape)
+    pack = FilePack.from_file_sets(sets)
     targets = [
         ["brand/new.md"],
         ["src/new/x.c", "brand/new.md"],
@@ -222,21 +215,20 @@ def test_entries_of_unseen_targets_equal_stacked_rows_and_naive(unit, chunk_pair
         sets[9],
     ]
     t_pack_sets = [pack.pack_one(target) for target in targets]
-    assert_entries_exact(t_pack_sets, pack, targets, sets, unit)
+    assert_entries_exact(t_pack_sets, pack, targets, sets)
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
 def test_entries_of_a_shuffled_root_window_equal_stacked_rows_and_naive(
-    unit, chunk_pairs
+    shape, chunk_pairs
 ):
     rng = random.Random(37)
-    sets = sweep_sets(rng, unit)
-    root = FilePack.from_file_sets(sets, unit)
+    sets = sweep_sets(rng, shape)
+    root = FilePack.from_file_sets(sets)
     picks = np.asarray(rng.sample(range(len(sets)), 15))
     window = root.take(picks)
     picked = [sets[i] for i in picks]
     t_pack_sets = [window.slice_one(i) for i in range(window.n_sets)]
-    assert_entries_exact(t_pack_sets, window, picked, picked, unit)
+    assert_entries_exact(t_pack_sets, window, picked, picked)
 
 
 def test_serve_shaped_sweep_peaks_at_one_mib_or_less():
@@ -246,7 +238,7 @@ def test_serve_shaped_sweep_peaks_at_one_mib_or_less():
     shape = synth.Shape(prs=400, months=36, files_per_area=120, depth=4, held_out=100)
     records, _ = synth.generate(shape, "1/0")
     corpus = clean(parse_export(synth.to_jsonl(records).splitlines()))
-    pack = corpus.file_pack("components")
+    pack = corpus.file_pack()
     args = (pack.tokens, pack.file_off, pack.set_off) * 2
     tracemalloc.start()
     try:
@@ -258,12 +250,12 @@ def test_serve_shaped_sweep_peaks_at_one_mib_or_less():
     assert peak <= 1 << 20
 
 
-def assert_grouped_row_exact(pack, target, sets, unit, out=None):
+def assert_grouped_row_exact(pack, target, sets):
     """The row read through the pack's grouping == the sweep's entries of the
     one target set, scattered == the naive oracle, with ``==``."""
     t_tokens, t_off = pack.pack_one(target)
     row = kernels.mean_similarity_row(
-        t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off, out=out,
+        t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off,
         grouping=pack.grouping(),
     )
     _, cols, values = kernels.mean_similarity_entries(
@@ -272,18 +264,17 @@ def assert_grouped_row_exact(pack, target, sets, unit, out=None):
     swept = np.zeros(pack.n_sets)
     swept[cols] = values
     assert row.tolist() == swept.tolist()
-    assert row.tolist() == [naive_mean_similarity(target, s, unit) for s in sets]
+    assert row.tolist() == [naive_mean_similarity(target, s) for s in sets]
     return row
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_grouped_rows_of_a_taken_window_equal_sweep_and_naive(unit):
+def test_grouped_rows_of_a_taken_window_equal_sweep_and_naive(shape):
     """A window's grouping holds the window's files only: a target token
     that only the root holds pairs with nothing."""
     rng = random.Random(41)
-    sets = random_file_sets(rng, 30, unit)
+    sets = random_file_sets(rng, 30, shape)
     sets[0] = ["only/in/the/whole.q"]
-    root = FilePack.from_file_sets(sets, unit)
+    root = FilePack.from_file_sets(sets)
     picks = np.asarray(rng.sample(range(1, len(sets)), 14))
     window = root.take(picks)
     picked = [sets[i] for i in picks]
@@ -293,40 +284,62 @@ def test_grouped_rows_of_a_taken_window_equal_sweep_and_naive(unit):
         *picked[:5],
     ]
     for target in targets:
-        assert_grouped_row_exact(window, target, picked, unit)
-    assert not assert_grouped_row_exact(window, targets[0], picked, unit).any()
-    assert assert_grouped_row_exact(root, targets[0], sets, unit)[0] == 1.0
+        assert_grouped_row_exact(window, target, picked)
+    assert not assert_grouped_row_exact(window, targets[0], picked).any()
+    assert assert_grouped_row_exact(root, targets[0], sets)[0] == 1.0
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_grouped_row_of_an_unmatched_target_is_all_zero(unit):
-    sets = random_file_sets(random.Random(43), 20, unit)
-    pack = FilePack.from_file_sets(sets, unit)
-    row = assert_grouped_row_exact(pack, ["wk/src/a", "Q"], sets, unit)
+def test_grouped_row_of_an_unmatched_target_is_all_zero(shape):
+    sets = random_file_sets(random.Random(43), 20, shape)
+    pack = FilePack.from_file_sets(sets)
+    row = assert_grouped_row_exact(pack, ["wk/src/a", "Q"], sets)
     assert row.tolist() == [0.0] * len(sets)
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_grouped_row_of_one_file_against_one_very_large_set(unit):
+def test_grouped_row_of_one_file_against_one_very_large_set(shape):
     rng = random.Random(47)
-    big = sorted({f for files in random_file_sets(rng, 200, unit) for f in files})
+    big = sorted({f for files in random_file_sets(rng, 200, shape) for f in files})
     sets = [["src/a"], big, ["docs/x.c", "src"]]
-    pack = FilePack.from_file_sets(sets, unit)
+    pack = FilePack.from_file_sets(sets)
     assert len(big) > 100
     for target in (["src/lib/x.c"], [big[len(big) // 2]], ["docs"]):
-        assert_grouped_row_exact(pack, target, sets, unit)
+        assert_grouped_row_exact(pack, target, sets)
 
 
-@pytest.mark.parametrize("unit", ["components", "chars"])
-def test_grouped_row_fills_out_and_returns_it(unit):
-    sets = random_file_sets(random.Random(53), 12, unit)
-    pack = FilePack.from_file_sets(sets, unit)
-    out = np.full(len(sets), np.nan)
-    row = assert_grouped_row_exact(pack, sets[3], sets, unit, out=out)
-    assert row is out
-    # An unmatched target overwrites every entry of a used ``out``.
-    assert_grouped_row_exact(pack, ["wk"], sets, unit, out=out)
-    assert out.tolist() == [0.0] * len(sets)
+def deep_file_sets(rng, n_sets):
+    """Sets of paths up to 22 components deep that share long prefixes: each
+    file is a prefix of one of three 20-component stems plus up to two
+    components of its own. Every sixth set holds 20 to 60 files."""
+    parts = ["src", "lib", "a", "b", "x.c"]
+    stems = [[rng.choice(parts) for _ in range(20)] for _ in range(3)]
+    sets = []
+    for i in range(n_sets):
+        files = set()
+        for _ in range(rng.randint(20, 60) if i % 6 == 0 else rng.randint(1, 4)):
+            tail = [rng.choice(parts) for _ in range(rng.randint(0, 2))]
+            files.add("/".join(rng.choice(stems)[: rng.randint(1, 20)] + tail))
+        sets.append(sorted(files))
+    return sets
+
+
+def longest_shared_prefix(sets):
+    """Most leading components that two different files of ``sets`` share."""
+    paths = sorted({tuple(f.split("/")) for files in sets for f in files})
+    return max(len(os.path.commonprefix([a, b])) for a, b in zip(paths, paths[1:]))
+
+
+def test_deep_paths_sweep_and_grouped_rows_equal_naive(chunk_pairs):
+    """Files sharing 15 or more leading components keep the prefix extension
+    running many steps; the sweep and the grouped rows still equal the
+    naive oracle exactly."""
+    sets = deep_file_sets(random.Random(59), 24)
+    assert longest_shared_prefix(sets) >= 15
+    assert max(len(files) for files in sets) >= 20
+    pack = FilePack.from_file_sets(sets)
+    t_pack_sets = [pack.slice_one(i) for i in range(pack.n_sets)]
+    assert_entries_exact(t_pack_sets, pack, sets, sets)
+    for target in [*sets[:7], ["src/new"], [sets[0][-1] + "/deeper"]]:
+        assert_grouped_row_exact(pack, target, sets)
 
 
 def test_grouping_is_made_once_per_pack(monkeypatch):
@@ -350,7 +363,7 @@ def test_grouping_is_made_once_per_pack(monkeypatch):
             for i in range(12)
         ]
     )
-    root = corpus.file_pack("components")
+    root = corpus.file_pack()
     targets = [
         TargetPR(f"t{i}", "c0", t0 + 20 * DAY, (f"src/d{i}/new.c",)) for i in (0, 1)
     ]
@@ -359,12 +372,12 @@ def test_grouping_is_made_once_per_pack(monkeypatch):
     recommender = HypergraphRecommender(HyperParams()).fit(fitted)
     for target in targets:
         recommender.recommend(target, 3)
-    window = fitted.file_pack("components")
+    window = fitted.file_pack()
     assert len(made) == 2 and made[0] is root.tokens and made[1] is window.tokens
 
     queried = corpus.slice_until(t0 + 10 * DAY)
     for target in targets:
         revfinder_recommend(queried, target, 3)
-    assert len(made) == 3 and made[2] is queried.file_pack("components").tokens
+    assert len(made) == 3 and made[2] is queried.file_pack().tokens
     assert window.grouping() is not root.grouping()
     assert len(made) == 3
