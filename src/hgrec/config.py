@@ -117,6 +117,8 @@ class RunConfig:
             )
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if not self.ks:
+            raise ConfigError("ks must list at least one k, got []")
         if any(k < 1 for k in self.ks):
             raise ConfigError(f"every k must be >= 1, got {self.ks}")
         if self.jobs < 0:

@@ -290,15 +290,16 @@ def normalize_weights(graph: Hypergraph) -> Hypergraph:
     return graph
 
 
-def scale_into_range(raw: float, raw_range: tuple[float, float] | None) -> float:
-    """Project a raw weight onto a family's normalization scale, clamped to
-    [0, 1]. Degenerate or missing ranges map to 1.0 (same rule as above)."""
+def scale_into_range(raw, raw_range: tuple[float, float] | None):
+    """Project raw weights (a number or an array) onto a family's
+    normalization scale, clamped to [0, 1]. Degenerate or missing ranges map
+    to 1.0 (same rule as above)."""
     if raw_range is None:
         return 1.0
     lo, hi = raw_range
     if hi <= lo:
         return 1.0
-    return min(1.0, max(0.0, (raw - lo) / (hi - lo)))
+    return np.minimum(np.maximum((raw - lo) / (hi - lo), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ symmetric system
 
 with identity rows for isolated vertices. S is positive definite (Dv - K is a
 hypergraph Laplacian and alpha < 1), so it is factored without pivoting in a
-fill-reducing elimination order, once per base graph. A query appends
-vertices, and edges that each hold an appended vertex; its S differs from
-blockdiag(S0, I), S0 the base's S, only on the appended vertices and the base
-vertices their edges reach. That difference W is kept dense, and the query
-is solved by Woodbury: one solve with the base factor, then one dense solve
-of the size of W. The iterative solver runs the fixed-point iteration
+fill-reducing elimination order, once per base graph. A factored base keeps
+S (in CSC) and its factor, not K, and every direct solve checks its residual
+with one product by S, not by the factor. A query appends vertices, and
+edges that each hold an appended vertex; its S differs from blockdiag(S0, I),
+S0 the base's S, only on the appended vertices and the base vertices their
+edges reach. That difference W is kept dense, and the query is solved by
+Woodbury: one solve with the base factor, then one dense solve of the size
+of W. The iterative solver runs the fixed-point iteration
 f <- alpha * A @ f + y, which converges because alpha < 1 bounds the
 spectral radius of alpha * A.
 """
@@ -48,12 +50,17 @@ _SPD_FACTOR = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 @dataclass
 class RankingSystem:
-    # K in vertex order, duplicate entries adding up; None on an update.
+    # K in vertex order, duplicate entries adding up: kept by a base system
+    # assembled unfactored (the iterative solver and bordering read it);
+    # None on a base assembled ``ordered`` and on an update.
     kernel: sp.coo_matrix | None
     vertex_degree: np.ndarray
     alpha: float
-    # SuperLU factor of S in a fill-reducing order: made when a base system
-    # is assembled ``ordered``, else at its first direct solve.
+    # S = Dv - alpha * K, identity rows at isolated vertices, in CSC, and its
+    # SuperLU factor in a fill-reducing order: made when a base system is
+    # assembled ``ordered``, else at its first direct solve. The residual
+    # check of every direct solve multiplies by S.
+    matrix: sp.csc_matrix | None = field(default=None, repr=False)
     factor: spla.SuperLU | None = field(default=None, repr=False)
     # An update of a factored base: S = blockdiag(S0, I) + U W U^T, with S0
     # the base's S, U the identity's columns ``touched`` (base vertices the
@@ -126,6 +133,7 @@ def assemble(
         system = RankingSystem(kernel, degree, alpha)
         if ordered:
             _factor(system)
+            system.kernel = None  # S and its factor are all a factored fit reads
         return system
 
     n_base = base.n_vertices
@@ -143,18 +151,18 @@ def assemble(
         return RankingSystem(kernel, degree, alpha)
 
     touched = np.union1d(rows, np.arange(n_base, n_v))
-    # W = S - blockdiag(S0, I) on touched: the appended kernel terms, the
-    # added degree, and the identity rows that vanish (base vertices the
-    # appended edges reach) or stay (isolated appended vertices).
+    n_touched = len(touched)
+    # W = S - blockdiag(S0, I) on touched: the appended kernel terms, summed
+    # in input order, the added degree, and the identity rows that vanish
+    # (base vertices the appended edges reach) or stay (isolated appended
+    # vertices).
     before = np.ones(n_v)
     before[:n_base] = base.isolated
-    update = np.zeros((len(touched), len(touched)))
-    np.add.at(
-        update,
-        (np.searchsorted(touched, rows), np.searchsorted(touched, cols)),
-        -alpha * values,
-    )
-    update[np.diag_indices_from(update)] += (
+    at = np.searchsorted(touched, rows) * n_touched + np.searchsorted(touched, cols)
+    update = np.bincount(
+        at, weights=-alpha * values, minlength=n_touched * n_touched
+    ).reshape(n_touched, n_touched)
+    update.reshape(-1)[:: n_touched + 1] += (
         added[touched] + (degree[touched] <= 0.0) - before[touched]
     )
     return RankingSystem(
@@ -171,18 +179,48 @@ def transition_matrix(system: RankingSystem) -> sp.csr_matrix:
     return system._transition
 
 
+def _system_matrix(
+    kernel: sp.coo_matrix, diagonal: np.ndarray, alpha: float
+) -> sp.csc_matrix:
+    """diag(diagonal) - alpha * K in CSC, array for array the matrix of
+    ``(sp.diags(diagonal) - alpha * kernel).tocsc()``: each stored value is
+    the diagonal term minus the scaled kernel entry, and entries that come
+    to zero are not stored."""
+    if not kernel.has_canonical_format:
+        kernel = kernel.copy()
+        kernel.sum_duplicates()
+    n = len(diagonal)
+    rows, cols = kernel.row, kernel.col
+    scaled = alpha * kernel.data
+    values = -scaled
+    on_diagonal = np.flatnonzero(rows == cols)
+    at = rows[on_diagonal]
+    values[on_diagonal] = diagonal[at] - scaled[on_diagonal]
+    # Diagonal terms that meet no kernel entry stand alone.
+    alone = np.ones(n, dtype=bool)
+    alone[at] = False
+    alone = np.flatnonzero(alone)
+    rows = np.concatenate((rows, alone))
+    cols = np.concatenate((cols, alone))
+    values = np.concatenate((values, diagonal[alone]))
+    kept = np.flatnonzero(values)
+    # Column-major, rows ascending within a column.
+    order = kept[np.argsort(cols[kept].astype(np.int64) * n + rows[kept])]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[order], minlength=n), out=indptr[1:])
+    return sp.csc_matrix((values[order], rows[order], indptr), shape=(n, n))
+
+
 def _factor(system: RankingSystem) -> spla.SuperLU:
-    """Factor of S = Dv - alpha * K, plus identity rows at isolated
-    vertices, in a minimum-degree order on S + S.T; memoized on the
-    system."""
+    """Factor of S in a minimum-degree order on S + S.T, made with S from
+    the system's kernel; both memoized on the system."""
     if system.factor is None:
-        matrix = (
-            sp.diags(system.vertex_degree + system.isolated)
-            - system.alpha * system.kernel
-        ).tocsc()
+        system.matrix = _system_matrix(
+            system.kernel, system.vertex_degree + system.isolated, system.alpha
+        )
         try:
             system.factor = spla.splu(
-                matrix, permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR
+                system.matrix, permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR
             )
         except RuntimeError as exc:  # SuperLU reports a zero pivot this way
             raise SolverError(f"direct solve failed: {exc}") from exc
@@ -190,11 +228,10 @@ def _factor(system: RankingSystem) -> spla.SuperLU:
 
 
 def _product(system: RankingSystem, x: np.ndarray) -> np.ndarray:
-    """S @ x, for an update as blockdiag(S0, I) @ x + U W U^T x."""
+    """S @ x of a factored system, for an update as
+    blockdiag(S0, I) @ x + U W U^T x."""
     if system.base is None:
-        return (system.vertex_degree + system.isolated) * x - system.alpha * (
-            system.kernel @ x
-        )
+        return system.matrix @ x
     n_base = system.base.n_vertices
     out = np.concatenate((_product(system.base, x[:n_base]), x[n_base:]))
     out[system.touched] += system.update @ x[system.touched]
@@ -217,10 +254,14 @@ def _solve_update(system: RankingSystem, rhs: np.ndarray) -> np.ndarray:
     columns[touched[:k], np.arange(1, k + 1)] = 1.0
     solved = base.factor.solve(columns)
     g = np.concatenate((solved[:, 0], rhs[n_base:]))
-    z = np.eye(n_touched)
-    z[:k, :k] = solved[touched[:k], 1:]
+    # I + Z_J W with Z_J = blockdiag(the solve's touched rows, I): its base
+    # rows are one product, its appended rows are W's own.
+    lhs = np.empty((n_touched, n_touched))
+    np.matmul(solved[touched[:k], 1:], update[:k], out=lhs[:k])
+    lhs[k:] = update[k:]
+    lhs.reshape(-1)[:: n_touched + 1] += 1.0
     try:
-        f_touched = np.linalg.solve(np.eye(n_touched) + z @ update, g[touched])
+        f_touched = np.linalg.solve(lhs, g[touched])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
     correction = update @ f_touched

@@ -1,13 +1,13 @@
 """End-to-end recommendation: graft a target PR, seed a query, rank, filter.
 
 A fit builds the base graph and everything every query reads: its ranking
-system (kernel, degrees and, for the direct solver, the factor of S) and the
-candidate developers. A recommendation never mutates that state: the target
-PR (and its contributor, when new) is added in an overlay that holds only
-those vertices and their edges: one contributor edge plus the target's
-top-m strongest similar-PR edges. They update the base system, which is
-solved against the base factor. The developer vertices are ranked by
-``rank_developers``, the one ranking rule every recommender shares.
+system (degrees and, for the direct solver, S and its factor, else the
+kernel) and the candidate developers. A recommendation never mutates that
+state: the target PR (and its contributor, when new) is added in an overlay
+that holds only those vertices and their edges: one contributor edge plus
+the target's top-m strongest similar-PR edges. They update the base system,
+which is solved against the base factor. The developer vertices are ranked
+by ``rank_developers``, the one ranking rule every recommender shares.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .config import HyperParams
 from .corpus import ReviewCorpus, TargetPR
 from .errors import HgrecError
 from .hypergraph import (
-    EDGE_KINDS,
+    _CONTRIBUTOR,
+    _PR_PR,
     EdgeKind,
     EdgeTable,
     Hypergraph,
@@ -53,7 +54,7 @@ class Recommendation:
 @dataclass(frozen=True)
 class FitState:
     """Everything a query reads and none changes: the base graph, its ranking
-    system with the factor of S, the developer vertices
+    system with S and its factor, the developer vertices
     (ids and indices) and the corpus's historical comment counts."""
 
     graph: Hypergraph
@@ -128,25 +129,31 @@ def graft(state: FitState, target: TargetPR) -> Hypergraph:
         base.params.top_m,
     )
     partners = similar[top]
-    # Every appended edge pairs the target with one vertex: its contributor,
-    # or a partner PR, which as a base vertex precedes it.
-    kinds = [EdgeKind.PR_CONTRIBUTOR] + [EdgeKind.PR_PR] * len(partners)
-    raws = [weight_pr_contributor(target, t_start, t_end), *raw[top].tolist()]
-    members = sorted((pr_v, contributor_v))
-    for partner_v in index.vertices[partners].tolist():
-        members += (partner_v, pr_v)
+    # Every appended edge pairs the target with one vertex: first its
+    # contributor, then each partner PR, which as a base vertex precedes it.
+    n_edges = 1 + len(partners)
+    kind = np.full(n_edges, _PR_PR, dtype=np.int8)
+    kind[0] = _CONTRIBUTOR
+    members = np.empty(2 * n_edges, dtype=np.int64)
+    members[:2] = sorted((pr_v, contributor_v))
+    members[2::2] = index.vertices[partners]
+    members[3::2] = pr_v
+    raws = np.empty(n_edges)
+    raws[0] = weight_pr_contributor(target, t_start, t_end)
+    raws[1:] = raw[top]
+    ranges = base.raw_range
+    weights = np.empty(n_edges)
+    weights[0] = scale_into_range(raws[0], ranges.get(EdgeKind.PR_CONTRIBUTOR))
+    weights[1:] = scale_into_range(raws[1:], ranges.get(EdgeKind.PR_PR))
     return Hypergraph(
         prs={target.id: pr_v},
         developers=developers,
-        edges=EdgeTable.of(
-            [EDGE_KINDS.index(kind) for kind in kinds],
-            [2] * len(kinds),
-            members,
-            raws,
-            [
-                scale_into_range(r, base.raw_range.get(kind))
-                for kind, r in zip(kinds, raws)
-            ],
+        edges=EdgeTable(
+            kind=kind,
+            offsets=np.arange(0, 2 * n_edges + 1, 2, dtype=np.int64),
+            members=members,
+            raw=raws,
+            weight=weights,
         ),
         bounds=(t_start, t_end),
         raw_range=base.raw_range,

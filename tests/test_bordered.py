@@ -7,7 +7,9 @@ matrix of the grafted graph from its edge list alone and solves
 """
 
 import copy
+import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +18,19 @@ import scipy.sparse.linalg as spla
 
 from hgrec import ranker
 from hgrec.config import HyperParams
-from hgrec.hypergraph import VertexKind, build
+from hgrec.corpus import clean, parse_export
+from hgrec.errors import SolverError
+from hgrec.fixtures import BOT_PATTERN
+from hgrec.hypergraph import EdgeKind, VertexKind, build
 from hgrec.recommender import TargetPR, graft, prepare, query_vector, rank
 
-from conftest import DAY, make_corpus, make_pr
+from conftest import DAY, make_corpus, make_graph, make_pr
 
 T0 = 1_600_000_000
 AREAS = ("src/net", "src/db", "src/ui", "docs")
 DEVS = tuple(f"dev{i}" for i in range(8))
 BOT = "ci[bot]"
+FIXTURE = Path(__file__).parent / "data" / "review_history_50pr.jsonl"
 
 
 def random_corpus(rng, n_prs=40, single_instant=False):
@@ -226,7 +232,9 @@ def test_repeated_queries_identical_and_leave_fit_state_unchanged():
     def snapshot():
         system = state.system
         return (
-            system.kernel.toarray(),
+            system.matrix.indptr.copy(),
+            system.matrix.indices.copy(),
+            system.matrix.data.copy(),
             system.vertex_degree.copy(),
             system.factor.perm_c.copy(),
             system.factor.solve(np.ones(system.n_vertices)),
@@ -240,7 +248,120 @@ def test_repeated_queries_identical_and_leave_fit_state_unchanged():
     second = rank(state, target, 5)
     assert first == second
     after = snapshot()
-    for old, new in zip(before[:4], after[:4]):
+    for old, new in zip(before[:6], after[:6]):
         np.testing.assert_array_equal(old, new)
-    assert before[4] == after[4]
-    assert before[5] is after[5]
+    assert before[6] == after[6]
+    assert before[7] is after[7]
+
+
+def assert_fit_matrix_is_the_sparse_chain(graph, alpha):
+    """The S a factored fit keeps holds exactly the arrays of the scipy chain
+    diags(Dv + isolated) - alpha * K, then to CSC."""
+    unfactored = ranker.assemble(graph, alpha)
+    chain = (
+        sp.diags(unfactored.vertex_degree + unfactored.isolated)
+        - alpha * unfactored.kernel
+    ).tocsc()
+    fitted = ranker.assemble(graph, alpha, ordered=True)
+    assert fitted.kernel is None  # a factored fit reads S, not K
+    np.testing.assert_array_equal(fitted.vertex_degree, unfactored.vertex_degree)
+    for ours, theirs in (
+        (fitted.matrix.indptr, chain.indptr),
+        (fitted.matrix.indices, chain.indices),
+        (fitted.matrix.data, chain.data),
+    ):
+        assert np.array_equal(ours, theirs)
+    return unfactored, fitted
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 0.9])
+def test_fit_matrix_is_the_sparse_chain_on_the_fixture(alpha):
+    with open(FIXTURE, "r", encoding="utf-8") as handle:
+        corpus = clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
+    assert_fit_matrix_is_the_sparse_chain(build(corpus, HyperParams()), alpha)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_matrix_is_the_sparse_chain_on_random_corpora(seed):
+    rng = np.random.default_rng(400 + seed)
+    corpus = random_corpus(
+        rng, n_prs=int(rng.integers(3, 60)), single_instant=seed % 4 == 0
+    )
+    params = HyperParams(top_m=int(rng.integers(1, 12)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        graph = build(corpus, params)
+    assert_fit_matrix_is_the_sparse_chain(graph, params.alpha)
+
+
+def test_fit_matrix_drops_zero_kernel_entries_and_keeps_isolated_rows():
+    # vertex 2 meets only a zero-weight edge, vertex 3 no edge at all
+    graph = make_graph(
+        4,
+        [
+            (EdgeKind.PR_CONTRIBUTOR, (0, 1), 0.5),
+            (EdgeKind.PR_PR, (1, 2), 0.0),
+        ],
+    )
+    unfactored, fitted = assert_fit_matrix_is_the_sparse_chain(graph, 0.9)
+    assert (unfactored.kernel.data == 0.0).any()
+    assert fitted.isolated.tolist() == [False, False, True, True]
+    assert (fitted.matrix.data != 0.0).all()
+    np.testing.assert_array_equal(fitted.matrix.diagonal()[2:], 1.0)
+
+
+def test_update_residual_check_does_not_trust_the_base_factor():
+    corpus = random_corpus(np.random.default_rng(8))
+    params = HyperParams(solver="direct")
+    state = prepare(build(corpus, params), corpus, params)
+    target = TargetPR("t", "dev1", T0 + 90 * DAY, ("src/db/f2.c",))
+    rank(state, target, 5)  # the true factor passes the check
+
+    # the factor of S with the contributor's diagonal entry doubled
+    contributor = state.graph.vertex_index(VertexKind.DEVELOPER, "dev1")
+    perturbed = state.system.matrix.copy()
+    perturbed[contributor, contributor] *= 2.0
+    factor = spla.splu(perturbed, permc_spec="MMD_AT_PLUS_A", **ranker._SPD_FACTOR)
+    corrupted = dataclasses.replace(
+        state, system=dataclasses.replace(state.system, factor=factor)
+    )
+    with pytest.raises(SolverError, match="residual"):
+        rank(corrupted, target, 5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_update_block_sums_like_add_at(seed):
+    """W of random overlays against an ``np.add.at`` oracle, bit for bit;
+    every appended edge adds to its target's own (t, t) entry, so positions
+    repeat."""
+    rng = np.random.default_rng(500 + seed)
+    corpus = random_corpus(rng, n_prs=int(rng.integers(3, 60)))
+    params = HyperParams(top_m=int(rng.integers(1, 12)), solver="direct")
+    state = prepare(build(corpus, params), corpus, params)
+    base = state.system
+    areas = (*AREAS, "solo")
+    for _ in range(8):
+        contributor = ("newcomer", "loner", *DEVS)[int(rng.integers(len(DEVS) + 2))]
+        files = {
+            f"{areas[int(rng.integers(len(areas)))]}/f{int(rng.integers(8))}.c"
+            for _ in range(int(rng.integers(1, 4)))
+        }
+        when = T0 + int(rng.integers(400)) * DAY
+        graph = graft(state, TargetPR("t", contributor, when, tuple(files)))
+        system = ranker.assemble(graph, params.alpha, base=base)
+
+        n_base, n = base.n_vertices, graph.n_vertices
+        degree, rows, cols, values = ranker._edge_terms(graph.edges, n)
+        touched = system.touched
+        at = np.searchsorted(touched, rows), np.searchsorted(touched, cols)
+        assert len(set(zip(*at))) < len(rows)
+        oracle = np.zeros((len(touched), len(touched)))
+        np.add.at(oracle, at, -params.alpha * values)
+        before = np.ones(n)
+        before[:n_base] = base.isolated
+        total = degree.copy()
+        total[:n_base] += base.vertex_degree
+        oracle[np.diag_indices_from(oracle)] += (
+            degree[touched] + (total[touched] <= 0.0) - before[touched]
+        )
+        assert np.array_equal(system.update, oracle)

@@ -476,13 +476,14 @@ class TestConfig:
             ("{", RECOMMEND, "config is not JSON"),
             ('{"params": {"alpha": "x"}}', RECOMMEND, "alpha"),
             ('{"ks": "5"}', RECOMMEND, "ks"),
+            ('{"ks": []}', ["evaluate"], "ks"),
             ('{"params": {"bogus": 1}}', RECOMMEND, "bogus"),
             ('{"params": {"similarity_unit": "components"}}', RECOMMEND,
              "unknown params keys: ['similarity_unit']"),
             ("{}", ["evaluate", "--ks", "a"], "ks"),
             ("{}", ["evaluate", "--ks", "1,,3"], "ks"),
         ],
-        ids=["not-json", "alpha-string", "ks-string", "unknown-param",
+        ids=["not-json", "alpha-string", "ks-string", "ks-empty", "unknown-param",
              "similarity-unit-param", "ks-flag-letter", "ks-flag-empty-item"],
     )
     def test_malformed_config_exits_2(
