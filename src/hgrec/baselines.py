@@ -147,8 +147,7 @@ def cn_recommend(
 
 
 class _BaselineWrapper:
-    def __init__(self, name, fn, **kwargs):
-        self.name = name
+    def __init__(self, fn, **kwargs):
         self._fn = fn
         self._kwargs = kwargs
         self._corpus = None
@@ -182,13 +181,13 @@ def create_recommender(
     if name == "hgrec":
         return HypergraphRecommender(params)
     if name == "ac":
-        return _BaselineWrapper("ac-s", ac_recommend, window_days=ac_window_days)
+        return _BaselineWrapper(ac_recommend, window_days=ac_window_days)
     if name == "revfinder":
-        return _BaselineWrapper("revfinder-s", revfinder_recommend)
+        return _BaselineWrapper(revfinder_recommend)
     if name == "chrev":
-        return _BaselineWrapper("chrev-s", chrev_recommend)
+        return _BaselineWrapper(chrev_recommend)
     if name == "cn":
-        return _BaselineWrapper("cn-s", cn_recommend, decay=cn_decay)
+        return _BaselineWrapper(cn_recommend, decay=cn_decay)
     raise HgrecError(
         f"unknown recommender {name!r}; expected one of "
         f"{sorted(RECOMMENDER_LABELS)}"

@@ -4,6 +4,11 @@ Subcommands: ingest, recommend, evaluate, compare (evaluate requiring at
 least two recommenders), stats. Every command is deterministic given its
 input bytes and configuration. Exit codes: 0 success, 1 internal error,
 2 user or data error.
+
+evaluate runs its rounds in order on one thread. Its ``--jobs`` flag
+accepts only 1 and does nothing; it stays while perfbench passes it. A
+config file holding ``jobs`` or ``params.max_iter`` exits 2 as an unknown
+key.
 """
 
 from __future__ import annotations
@@ -98,7 +103,6 @@ def _merge_config(args) -> RunConfig:
         initial_months=getattr(args, "initial_months", None),
         max_rounds=getattr(args, "max_rounds", None),
         output_dir=getattr(args, "output_dir", None),
-        jobs=getattr(args, "jobs", None),
         ac_window_days=getattr(args, "ac_window_days", None),
         cn_decay=getattr(args, "cn_decay", None),
         rd_scope=getattr(args, "rd_scope", None),
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         ev.add_argument("--initial-months", dest="initial_months", type=int)
         ev.add_argument("--max-rounds", dest="max_rounds", type=int)
         ev.add_argument("--output-dir", dest="output_dir")
-        ev.add_argument("--jobs", type=int, help="parallel rounds [default: cores]")
+        ev.add_argument("--jobs", type=int, choices=[1], help=argparse.SUPPRESS)
         ev.add_argument("--ac-window-days", dest="ac_window_days", type=int)
         ev.add_argument("--cn-decay", dest="cn_decay", type=float)
         ev.add_argument("--rd-scope", dest="rd_scope", choices=("round", "global"))
@@ -331,14 +335,12 @@ def cmd_evaluate(args) -> int:
         )
         for name in names
     ]
-    jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
     report = run_comparison(
         corpus,
         specs,
         ks=config.ks,
         initial_months=config.initial_months,
         max_rounds=config.max_rounds,
-        jobs=jobs,
         rd_scope=config.rd_scope,
     )
     os.makedirs(config.output_dir, exist_ok=True)

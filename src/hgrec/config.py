@@ -54,7 +54,6 @@ class HyperParams:
     comment_decay  geometric damping of a reviewer's repeated comments
     solver         direct | iterative | auto
     tol            stopping tolerance of the iterative solver
-    max_iter       iteration cap of the iterative solver
     """
 
     alpha: float = 0.9
@@ -62,7 +61,6 @@ class HyperParams:
     comment_decay: float = 0.8
     solver: str = "auto"
     tol: float = 1e-10
-    max_iter: int = 10000
 
     def __post_init__(self):
         _check_types(self)
@@ -78,8 +76,6 @@ class HyperParams:
             raise ConfigError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -101,7 +97,6 @@ class RunConfig:
     initial_months: int = 12
     max_rounds: int = 30
     output_dir: str = "."
-    jobs: int = 0  # 0 = logical cores
     ac_window_days: int = 90
     cn_decay: float = 0.8
     rd_scope: str = "round"
@@ -121,8 +116,6 @@ class RunConfig:
             raise ConfigError("ks must list at least one k, got []")
         if any(k < 1 for k in self.ks):
             raise ConfigError(f"every k must be >= 1, got {self.ks}")
-        if self.jobs < 0:
-            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
         if self.ac_window_days < 1:
             raise ConfigError(
                 f"ac_window_days must be >= 1, got {self.ac_window_days}"

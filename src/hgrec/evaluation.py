@@ -23,8 +23,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Sequence
 
@@ -65,8 +64,7 @@ def span_in_months(t_start: int, t_end: int) -> int:
 @dataclass
 class EvaluationRound:
     index: int  # 1-based
-    train_cut: int  # training uses [t_start, train_cut)
-    test_start: int
+    train_cut: int  # training uses [t_start, train_cut); tests [train_cut, test_end)
     test_end: int
     tests: list[tuple[TargetPR, frozenset[str]]]
     train_reviewers: int  # distinct reviewers in the training window
@@ -130,7 +128,6 @@ def make_rounds(
             EvaluationRound(
                 index=r,
                 train_cut=cut,
-                test_start=cut,
                 test_end=test_end,
                 tests=tests,
                 train_reviewers=bisect.bisect_left(entries, cut),
@@ -228,7 +225,6 @@ class EvaluationReport:
     rows: list[MetricRow]
     averages: dict[str, dict[int, dict[str, float]]]
     wilcoxon: dict[str, dict[str, dict[int, WilcoxonResult]]]
-    records: dict[tuple[str, int], list[PRRecord]] = field(repr=False)
 
     def to_csv_text(self) -> str:
         lines = ["recommender,round,k,acc,mrr,rd"]
@@ -327,14 +323,13 @@ def run_comparison(
     ks: Sequence[int] = (1, 3, 5),
     initial_months: int = 12,
     max_rounds: int = 30,
-    jobs: int = 1,
     rd_scope: str = "round",
 ) -> EvaluationReport:
     """Run every recommender over every round and assemble the report.
 
-    Rounds are independent; jobs > 1 runs them in a thread pool. A single
-    top-max(k) list per (recommender, test PR) serves every k: smaller lists
-    are prefixes of larger ones by the recommenders' contract.
+    Rounds run in order on one thread, and each is scored as it finishes. A
+    single top-max(k) list per (recommender, test PR) serves every k:
+    smaller lists are prefixes of larger ones by the recommenders' contract.
     """
     if not specs:
         raise UndefinedMetricError("at least one recommender is required")
@@ -345,37 +340,25 @@ def run_comparison(
     max_k = max(ks)
     rounds = make_rounds(corpus, initial_months=initial_months, max_rounds=max_rounds)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_evaluate_round, corpus, r, specs, max_k) for r in rounds
-            ]
-            per_round = [f.result() for f in futures]
-    else:
-        per_round = [_evaluate_round(corpus, r, specs, max_k) for r in rounds]
-
     # Only the global scope counts the reviewers of the whole corpus.
     global_n = len(corpus.reviewer_ids()) if rd_scope == "global" else None
     rows: list[MetricRow] = []
-    records: dict[tuple[str, int], list[PRRecord]] = {
-        (label, r.index): per_round[i][label]
-        for i, r in enumerate(rounds)
-        for label in labels
-    }
     per_round_values: dict[tuple[str, str, int], list[float]] = {
         (label, metric, k): []
         for label in labels
         for metric in ("acc", "mrr", "rd")
         for k in ks
     }
-    for i, round_ in enumerate(rounds):
+    for round_ in rounds:
+        # A round with no tests still fits, so that its errors surface.
+        records = _evaluate_round(corpus, round_, specs, max_k)
         if not round_.tests:
             continue
         n_reviewers = max(
             2, round_.train_reviewers if global_n is None else global_n
         )
         for label in labels:
-            recs = per_round[i][label]
+            recs = records[label]
             hits = _first_hits(recs)
             for k in ks:
                 row = MetricRow(
@@ -430,5 +413,4 @@ def run_comparison(
         rows=rows,
         averages=averages,
         wilcoxon=tests,
-        records=records,
     )

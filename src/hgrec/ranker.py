@@ -337,4 +337,4 @@ def solve(system: RankingSystem, query: np.ndarray, params: HyperParams) -> np.n
     factor whatever its own size."""
     if system.base is not None or uses_direct(params, system.n_vertices):
         return solve_direct(system, query)
-    return solve_iterative(system, query, tol=params.tol, max_iter=params.max_iter)
+    return solve_iterative(system, query, tol=params.tol)

@@ -224,8 +224,6 @@ def recommend(
 class HypergraphRecommender:
     """fit/recommend wrapper caching the per-fit state of a training corpus."""
 
-    name = "hgrec"
-
     def __init__(self, params: HyperParams | None = None):
         self.params = params or HyperParams()
         self._state: FitState | None = None

@@ -336,7 +336,7 @@ def test_criterion_8_evaluate_determinism(tmp_path, capsys):
         out = tmp_path / name
         assert cli_main(
             ["evaluate", "--corpus", str(artifact), "--recommenders", "hgrec,ac",
-             "--output-dir", str(out), "--jobs", "2"]
+             "--output-dir", str(out)]
         ) == 0
         reports.append((out / "report.csv").read_bytes())
     capsys.readouterr()

@@ -404,7 +404,7 @@ class TestEvaluate:
 
         out = tmp_path / "out"
         assert main(["evaluate", "--corpus", str(artifact),
-                     "--output-dir", str(out), "--jobs", "1"]) == 0
+                     "--output-dir", str(out)]) == 0
         capsys.readouterr()
         report = json.loads((out / "summary.json").read_text())
         assert len(report["rounds"]) == 3
@@ -415,7 +415,7 @@ class TestEvaluate:
         out = tmp_path / "out"
         assert main(["evaluate", "--corpus", corpus_artifact,
                      "--recommenders", "hgrec,ac",
-                     "--output-dir", str(out), "--jobs", "2"]) == 0
+                     "--output-dir", str(out)]) == 0
         capsys.readouterr()
         report = json.loads((out / "summary.json").read_text())
         assert "ac-s" in report["wilcoxon"]
@@ -431,6 +431,22 @@ class TestEvaluate:
             capsys.readouterr()
             outputs.append((out / "report.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_jobs_stub_accepts_only_1(self, corpus_artifact, tmp_path, capsys):
+        reports = []
+        for name, extra in (("plain", []), ("jobs-1", ["--jobs", "1"])):
+            out = tmp_path / name
+            assert main(["evaluate", "--corpus", corpus_artifact,
+                         "--output-dir", str(out), *extra]) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--corpus", corpus_artifact,
+                  "--output-dir", str(tmp_path / "jobs-2"), "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "jobs-2").exists()
 
     def test_compare_requires_two(self, corpus_artifact, capsys):
         assert main(["compare", "--corpus", corpus_artifact,
@@ -482,9 +498,14 @@ class TestConfig:
              "unknown params keys: ['similarity_unit']"),
             ("{}", ["evaluate", "--ks", "a"], "ks"),
             ("{}", ["evaluate", "--ks", "1,,3"], "ks"),
+            ('{"jobs": 2}', ["evaluate"], "unknown config keys: ['jobs']"),
+            ('{"params": {"max_iter": 5}}', RECOMMEND,
+             "unknown params keys: ['max_iter']"),
+            ('{"deterministic": false}', RECOMMEND, "deterministic"),
         ],
         ids=["not-json", "alpha-string", "ks-string", "ks-empty", "unknown-param",
-             "similarity-unit-param", "ks-flag-letter", "ks-flag-empty-item"],
+             "similarity-unit-param", "ks-flag-letter", "ks-flag-empty-item",
+             "jobs-key", "max-iter-param", "deterministic-false"],
     )
     def test_malformed_config_exits_2(
         self, tmp_path, corpus_artifact, capsys, text, command, field
@@ -530,7 +551,7 @@ class TestConfig:
         assert exit_info.value.code == 0
         text = capsys.readouterr().out
         for flag in ("--recommenders", "--ks", "--initial-months", "--max-rounds",
-                     "--output-dir", "--jobs", "--alpha", "--top-m",
+                     "--output-dir", "--alpha", "--top-m",
                      "--comment-decay", "--solver", "--tol", "--ac-window-days",
                      "--cn-decay", "--rd-scope", "--config"):
             assert flag in text

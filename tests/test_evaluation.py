@@ -286,14 +286,6 @@ class TestRunComparison:
         assert all(row.mrr <= row.acc for row in report.rows)
         assert all(0.0 <= row.rd <= 1.0 for row in report.rows)
 
-    def test_parallel_rounds_match_serial(self):
-        corpus = monthly_corpus(18)
-        specs = [RecommenderSpec("const", lambda: _ConstantRecommender(["rex", "sue"]))]
-        serial = run_comparison(corpus, specs, ks=(1, 3), jobs=1)
-        parallel = run_comparison(corpus, specs, ks=(1, 3), jobs=4)
-        assert serial.to_csv_text() == parallel.to_csv_text()
-        assert serial.to_json_text() == parallel.to_json_text()
-
     def test_one_training_slice_per_round(self, monkeypatch):
         cuts = []
         slice_until = ReviewCorpus.slice_until
@@ -374,7 +366,7 @@ def test_benchmark_backtest_report_is_pinned(tmp_path):
     assert main(["ingest", "--input", str(export), "--output", str(artifact)]) == 0
     assert main([
         "evaluate", "--corpus", str(artifact), "--recommenders", "hgrec",
-        "--jobs", "1", "--output-dir", str(out),
+        "--output-dir", str(out),
     ]) == 0
     assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == (
         "8ea8db43c16b71e169c3c59f7a6e14e7f65efb1b96b63d215b6c2348085035d9"
