@@ -7,7 +7,9 @@ only from the fields this corpus carries; the evaluation labels them with an
   AC-s         recent review activity: comment count inside the trailing
                window of the training period.
   RevFinder-s  file-path similarity: reviewers of past PRs accrue the mean
-               path similarity between that PR's files and the target's.
+               path similarity between that PR's files and the target's,
+               read through the corpus's memoized file pack and reviewer
+               incidence, so a query pays for one kernel row and one sum.
   cHRev-s      per-file review expertise: comment share plus recency over
                the target's files.
   CN-s         comment network: decayed interaction strength between each
@@ -20,6 +22,8 @@ contributor is excluded and score ties are broken by historical comment count
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import kernels
 from .config import HyperParams
@@ -56,23 +60,29 @@ def ac_recommend(
 def revfinder_recommend(
     corpus: ReviewCorpus, target: TargetPR, k: int
 ) -> Recommendation:
-    """Accrue each past PR's mean path similarity to its reviewers."""
+    """Accrue each past PR's mean path similarity to its reviewers.
+
+    The means are one kernel row against ``corpus.file_pack()``. The
+    accrual is one ``np.bincount`` over ``corpus.reviewer_incidence()``,
+    which the first query on a corpus builds; a reviewer whose PRs all
+    score 0 is listed with 0.0."""
     if not target.files:
         raise HgrecError(f"target PR {target.id!r} has no files")
-    scores: dict[str, float] = {}
+    ids, pr_at, reviewer_at = corpus.reviewer_incidence()
+    scores: list[float] = []
     if corpus.prs:
-        # The pack is the corpus's own, built once per fit; PRs without
-        # reviewers get a row entry too but credit nobody.
         pack = corpus.file_pack()
         t_tokens, t_off = pack.pack_one(target.files)
         means = kernels.mean_similarity_row(
             t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off,
             grouping=pack.grouping(),
         )
-        for pr, mean in zip(corpus.prs, means.tolist()):
-            for reviewer in pr.reviewers():
-                scores[reviewer] = scores.get(reviewer, 0.0) + mean
-    return rank_developers(scores.items(), corpus.comment_counts(), target, k)
+        # bincount adds in input order from 0.0, so each reviewer's sum runs
+        # over their PRs in corpus order, as a loop over the PRs would.
+        scores = np.bincount(
+            reviewer_at, weights=means[pr_at], minlength=len(ids)
+        ).tolist()
+    return rank_developers(zip(ids, scores), corpus.comment_counts(), target, k)
 
 
 def chrev_recommend(corpus: ReviewCorpus, target: TargetPR, k: int) -> Recommendation:

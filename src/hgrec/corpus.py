@@ -98,6 +98,9 @@ class ReviewCorpus:
     _file_pack: kernels.FilePack | None = field(
         default=None, repr=False, compare=False
     )
+    _reviewer_incidence: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = (
+        field(default=None, repr=False, compare=False)
+    )
     _root: "ReviewCorpus | None" = field(default=None, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
     # The root's sweep of its PRs against each other (read-only), held by
@@ -138,6 +141,15 @@ class ReviewCorpus:
                 pack = self._root.file_pack().take(self._positions)
             self._file_pack = pack
         return self._file_pack
+
+    def reviewer_incidence(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Who reviewed which PR: the reviewer ids in first-seen order, and
+        one (PR position, reviewer position) intp entry per PR and distinct
+        reviewer, in corpus order; memoized. A slice builds its own, since
+        its PRs' comments are truncated at its cut."""
+        if self._reviewer_incidence is None:
+            self._reviewer_incidence = _build_reviewer_incidence(self.prs)
+        return self._reviewer_incidence
 
     def similarity_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positive entries of ``kernels.mean_similarity_entries`` of this
@@ -198,6 +210,24 @@ class ReviewCorpus:
             _root=self._root or self,
             _positions=positions,
         )
+
+
+def _build_reviewer_incidence(
+    prs: list[PullRequest],
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    index: dict[str, int] = {}
+    pr_at: list[int] = []
+    reviewer_at: list[int] = []
+    for i, pr in enumerate(prs):
+        for reviewer in dict.fromkeys(
+            c.author for c in pr.comments if c.author != pr.contributor
+        ):
+            pr_at.append(i)
+            reviewer_at.append(index.setdefault(reviewer, len(index)))
+    arrays = (np.array(pr_at, dtype=np.intp), np.array(reviewer_at, dtype=np.intp))
+    for part in arrays:
+        part.flags.writeable = False
+    return tuple(index), *arrays
 
 
 def parse_timestamp(text: str) -> int:

@@ -309,9 +309,12 @@ def scale_into_range(raw, raw_range: tuple[float, float] | None):
 def pr_pr_raw_row(sims: np.ndarray, times, span: float, t_created) -> np.ndarray:
     """Raw pr_pr weights: kernel entries ``sims`` between PRs created at
     ``times`` and PRs created at ``t_created`` (one time, or one per entry),
-    damped in place by the time gaps."""
+    damped in place by the time gaps. Each factor is ``math.exp``'s, as in
+    ``weight_pr_reviewer``: ``np.exp`` rounds differently on different SIMD
+    paths, which would make a graph's weights depend on the host."""
     if span:
-        sims *= np.exp(-np.abs(times - t_created) / span)
+        exponents = (-np.abs(times - t_created) / span).tolist()
+        sims *= np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
     return sims
 
 

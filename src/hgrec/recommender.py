@@ -183,7 +183,9 @@ def rank_developers(
     """The ranking rule of every recommender, over (developer, score) pairs
     with distinct developers: the target's contributor is dropped, the rest
     sorted by score, ties broken by historical comment count (more first)
-    then id, and the first ``k`` kept."""
+    then id, and the first ``k`` kept; ``k`` must be at least 1."""
+    if k < 1:
+        raise HgrecError(f"k must be >= 1, got {k}")
     rows = [(dev, float(score)) for dev, score in scores if dev != target.contributor]
     rows.sort(key=lambda row: (-row[1], -counts.get(row[0], 0), row[0]))
     return Recommendation(target=target.id, k=k, candidates=rows[:k])
@@ -192,8 +194,6 @@ def rank_developers(
 def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
     """Algorithmic pipeline: graft, seed, update the base system and solve,
     filter and sort, truncate."""
-    if k < 1:
-        raise HgrecError(f"k must be >= 1, got {k}")
     params = state.graph.params
     graph = graft(state, target)
     system = ranker.assemble(graph, params.alpha, base=state.system)
@@ -201,9 +201,10 @@ def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
         state.developer_vertices
     ]
     ids = state.developer_ids
-    if len(scores) > k + 1:
+    if 0 < k < len(scores) - 1:
         # A developer below the (k+1)-th score trails at least k others even
-        # once the contributor is dropped, so it cannot make the list.
+        # once the contributor is dropped, so it cannot make the list. A k
+        # below 1 skips this and is rejected by rank_developers.
         kept = np.flatnonzero(scores >= np.partition(scores, -(k + 1))[-(k + 1)])
         ids = [ids[i] for i in kept.tolist()]
         scores = scores[kept]

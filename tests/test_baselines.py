@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from hgrec import corpus as corpus_module
 from hgrec import kernels
 from hgrec.baselines import (
     ac_recommend,
@@ -127,6 +129,68 @@ class TestRevfinder:
             revfinder.recommend(target("cy", files), 2)
             hgrec.recommend(target("cy", files), 2)
         assert packed == [3]
+
+    def test_incidence_built_once_per_corpus(self, monkeypatch):
+        built = []
+        build = corpus_module._build_reviewer_incidence
+        monkeypatch.setattr(
+            corpus_module, "_build_reviewer_incidence",
+            lambda prs: built.append(len(prs)) or build(prs),
+        )
+        corpus = make_corpus([
+            make_pr("p1", "ann", T0, ["src/a.c"], comments=[("rex", T0 + DAY)]),
+            make_pr("p2", "bo", T0 + DAY, ["src/b.c"], comments=[("sue", T0 + DAY)]),
+            make_pr("p3", "ann", T0 + 2 * DAY, ["docs/x.md"],
+                    comments=[("rex", T0 + 3 * DAY)]),
+        ])
+        revfinder = create_recommender("revfinder").fit(corpus)
+        assert built == []
+        for files in (["src/a.c"], ["src/b.c", "lib/c.c"], ["docs/x.md"]):
+            revfinder.recommend(target("cy", files), 2)
+        assert built == [3]
+        window = corpus.slice_until(T0 + 2 * DAY)
+        revfinder_recommend(window, target("cy"), 2)
+        revfinder_recommend(window, target("cy"), 2)
+        assert built == [3, 2]
+
+    def test_incidence_entries(self):
+        corpus = make_corpus([
+            make_pr("p1", "ann", T0, ["src/a.c"],
+                    comments=[("rex", T0 + 1), ("ann", T0 + 2), ("rex", T0 + 3)]),
+            make_pr("p2", "bo", T0 + DAY, ["src/b.c"]),
+            make_pr("p3", "bo", T0 + 2 * DAY, ["src/a.c"],
+                    comments=[("sue", T0 + 2 * DAY), ("rex", T0 + 3 * DAY)]),
+        ])
+        ids, pr_at, reviewer_at = corpus.reviewer_incidence()
+        assert ids == ("rex", "sue")
+        assert pr_at.tolist() == [0, 2, 2] and reviewer_at.tolist() == [0, 1, 0]
+        assert pr_at.dtype == reviewer_at.dtype == np.intp
+        assert corpus.reviewer_incidence() is corpus.reviewer_incidence()
+
+    def test_window_credits_only_comments_before_its_cut(self):
+        cut = T0 + 5 * DAY
+        corpus = make_corpus([
+            make_pr("p1", "ann", T0, ["src/a.c"],
+                    comments=[("rex", T0 + DAY), ("sue", cut), ("ted", cut + DAY)]),
+            make_pr("p2", "bo", cut + 2 * DAY, ["src/a.c"],
+                    comments=[("ted", cut + 3 * DAY)]),
+        ])
+        window = corpus.slice_until(cut)
+        assert window.reviewer_incidence()[0] == ("rex",)
+        assert window.reviewer_incidence() is not corpus.reviewer_incidence()
+        assert corpus.reviewer_incidence()[0] == ("rex", "sue", "ted")
+        result = revfinder_recommend(window, target("cy", ["src/a.c"]), k=5)
+        assert result.candidates == [("rex", 1.0)]
+
+    def test_no_reviewers_gives_empty_list(self):
+        corpus = make_corpus([
+            make_pr("p1", "ann", T0, ["src/a.c"], comments=[("ann", T0 + DAY)]),
+            make_pr("p2", "bo", T0 + DAY, ["src/a.c"]),
+        ])
+        ids, pr_at, reviewer_at = corpus.reviewer_incidence()
+        assert ids == () and pr_at.size == reviewer_at.size == 0
+        result = revfinder_recommend(corpus, target("cy", ["src/a.c"]), k=3)
+        assert result.candidates == []
 
     @pytest.mark.parametrize("root", ["", f"{DEEP_ROOT}/"], ids=["shallow", "deep"])
     def test_scores_equal_scalar_double_loop(self, root):
@@ -263,6 +327,14 @@ class TestSharedContracts:
         top5 = rec.recommend(t, 5).ids()
         for k in (1, 2, 3, 4):
             assert rec.recommend(t, k).ids() == top5[:k]
+
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    @pytest.mark.parametrize("name", ["ac", "revfinder", "chrev", "cn", "hgrec"])
+    def test_k_below_one_rejected(self, corpus, name, k):
+        rec = create_recommender(name).fit(corpus)
+        t = TargetPR("t", "carla", corpus.t_end + DAY, files=("src/net/x.c",))
+        with pytest.raises(HgrecError, match=f"k must be >= 1, got {k}"):
+            rec.recommend(t, k)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(HgrecError):

@@ -371,3 +371,20 @@ def test_benchmark_backtest_report_is_pinned(tmp_path):
     assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == (
         "8ea8db43c16b71e169c3c59f7a6e14e7f65efb1b96b63d215b6c2348085035d9"
     )
+
+
+def test_benchmark_baselines_report_is_pinned(tmp_path):
+    """``evaluate`` of the four baselines on the benchmark's seed-1
+    backtest-baselines corpus writes the report.csv it fingerprints."""
+    synth = load_synth()
+    records, _ = synth.generate(synth.Shape(prs=800, months=36), "1/0")
+    export, artifact, out = tmp_path / "export.jsonl", tmp_path / "corpus.json", tmp_path / "out"
+    export.write_text(synth.to_jsonl(records), encoding="utf-8")
+    assert main(["ingest", "--input", str(export), "--output", str(artifact)]) == 0
+    assert main([
+        "evaluate", "--corpus", str(artifact), "--recommenders", "ac,revfinder,chrev,cn",
+        "--output-dir", str(out),
+    ]) == 0
+    assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == (
+        "706349c8c943cc910c5fb8e7fdb0d2b90672ad7040bb2f11a5bb1904d9ec2816"
+    )

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -427,17 +429,17 @@ class TestSharedSimilarityStore:
 
 # ---------------------------------------------------------------------------
 # Graph identity, pinned: sha256 of the sorted-key JSON dump of each graph of
-# the bundled fixture, computed before edges were stored as arrays.
+# the bundled fixture, since pr_pr damping took math.exp's bits on every host.
 
 PINNED_GRAPHS = {
-    "full": "b208a876ca61c20fe14f226b750a5a59ea7103eca9fef5573936f31a550200c8",
-    1: "aec9cc04f16db2fbac2db7dab79cf827f0817fe7c0a032ea7cc306f96a7f741f",
-    2: "5b7ea0e197b807266b73be42ef3e526a1d4df46660f780efd5708c0b06d48edb",
-    3: "baeff424fdd19d7a08fce4dd351dfa4c322f19e354b5314456dde260e5adc604",
-    4: "421443dfbe71732c56e03bf2ea350beda5179024e2ee965ac25f05d64075f055",
-    5: "9a128288194121458ef71f7889286017c6d8199203b440acc34572a6678efd42",
-    6: "0d6a432a8ffed4f267606c841ce1b86cff447c23ea944f168d93ffff5ed0a0fc",
-    7: "34a4854fc637f41585d9a5694187f7743d94a2525d32533fb822b36785780cf7",
+    "full": "e76b9564407cf75d728be776a7bd295b1961868cef20cd1460c750b09631c2ab",
+    1: "d3f71c194eaff03b6421253f7c15e400c9a119c09403a582b5b9b4d0e5a5b7e5",
+    2: "dcb37fce65bb717980018edb1269500d6045d10a6ee9c216d238639e8414188c",
+    3: "91319562b07be38e5585096dba79fe0e68076858656cb49937a27d0cc8724ffc",
+    4: "747fed2cf3357382c3dbecdf7346a87d950ef73b291ad208f4cded31e2f35216",
+    5: "9b2f9d8541e9bb0434fee37b61324fbaa68f5f1528986a1fe9802c8d3489b1ff",
+    6: "63e5fcb080b94501043620341d9763042e5e031d78e68da2bd9f66c8bb2509b5",
+    7: "24610e3e2342e046e92e314335b568dea5810615945bded517a0a18d89544c79",
 }
 
 
@@ -456,3 +458,27 @@ def test_fixture_graphs_are_pinned():
     for round_ in make_rounds(corpus):
         got[round_.index] = _graph_sha256(corpus.slice_until(round_.train_cut))
     assert got == PINNED_GRAPHS
+
+
+def test_fixture_graphs_are_pinned_without_avx512():
+    """The pins hold on numpy's AVX2 path too, checked in a child process
+    whose numpy dispatches no AVX-512 kernel."""
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+        "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), str(REPO / "tests"), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy"], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    if probe.returncode:
+        pytest.skip(f"numpy does not start with AVX-512 disabled: {probe.stderr[-200:]}")
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import test_hypergraph; test_hypergraph.test_fixture_graphs_are_pinned()"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
