@@ -6,9 +6,11 @@ input bytes and configuration. Exit codes: 0 success, 1 internal error,
 2 user or data error.
 
 evaluate runs its rounds in order on one thread. Its ``--jobs`` flag
-accepts only 1 and does nothing; it stays while perfbench passes it. A
-config file holding ``jobs`` or ``params.max_iter`` exits 2 as an unknown
-key.
+accepts only 1 and does nothing; it stays while perfbench passes it. Every
+fit factors its system, so there is no solver flag; ``HyperParams`` keeps a
+``solver`` argument that accepts only "direct", for the same reason as
+``--jobs``. A config file holding ``jobs``, or ``max_iter``, ``solver`` or
+``tol`` under ``params``, exits 2 as an unknown key.
 """
 
 from __future__ import annotations
@@ -78,14 +80,7 @@ def _merge_config(args) -> RunConfig:
 
     params = config.params
     param_overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "alpha",
-            "top_m",
-            "comment_decay",
-            "solver",
-            "tol",
-        )
+        name: getattr(args, name, None) for name in ("alpha", "top_m", "comment_decay")
     }
     effective = {k: v for k, v in param_overrides.items() if v is not None}
     if effective:
@@ -125,14 +120,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         dest="comment_decay",
         type=float,
         help="damping of repeated comments in (0, 1] [default 0.8]",
-    )
-    model.add_argument(
-        "--solver",
-        choices=("direct", "iterative", "auto"),
-        help="linear solver [default auto]",
-    )
-    model.add_argument(
-        "--tol", type=float, help="iterative solver tolerance [default 1e-10]"
     )
 
 

@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import types
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 
 from .errors import ConfigError
-
-SOLVERS = ("direct", "iterative", "auto")
-
-# Above this vertex count the "auto" solver switches from the direct
-# factorization to the fixed-point iteration.
-DIRECT_SOLVER_MAX_VERTICES = 5000
 
 
 def _has_type(value, hint) -> bool:
@@ -47,22 +40,26 @@ def _check_types(obj) -> None:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Knobs of the hypergraph model and its solver.
+    """Knobs of the hypergraph model.
 
     alpha          weight of graph diffusion vs. staying on the query seed
     top_m          max similar-PR links kept per pull request
     comment_decay  geometric damping of a reviewer's repeated comments
-    solver         direct | iterative | auto
-    tol            stopping tolerance of the iterative solver
+
+    Every fit factors its system, so there is no solver to choose. The
+    ``solver`` argument accepts only "direct" and does nothing; it stays
+    while perfbench passes it. It is not a field, so a config file holding
+    ``solver`` or ``tol`` under ``params`` exits 2 as an unknown key.
     """
 
     alpha: float = 0.9
     top_m: int = 10
     comment_decay: float = 0.8
-    solver: str = "auto"
-    tol: float = 1e-10
+    solver: InitVar[str] = "direct"
 
-    def __post_init__(self):
+    def __post_init__(self, solver):
+        if solver != "direct":
+            raise ConfigError(f"solver must be 'direct', got {solver!r}")
         _check_types(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
@@ -72,10 +69,6 @@ class HyperParams:
             raise ConfigError(
                 f"comment_decay must be in (0, 1], got {self.comment_decay}"
             )
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass

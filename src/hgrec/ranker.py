@@ -9,8 +9,8 @@ edge sizes (member counts),
     A  = Dv^-1 @ K                  the row-stochastic transition matrix
 
 A zero-degree (isolated) vertex gets an all-zero row of A, which pins its
-score to the query value. Scores solve (I - alpha * A) f = y. The direct
-solver multiplies the rows of live vertices by Dv and solves the equivalent
+score to the query value. Scores solve (I - alpha * A) f = y. The solver
+multiplies the rows of live vertices by Dv and solves the equivalent
 symmetric system
 
     S f = b,    S = Dv - alpha * K,    b = Dv * y
@@ -24,9 +24,11 @@ edges that each hold an appended vertex; its S differs from blockdiag(S0, I),
 S0 the base's S, only on the appended vertices and the base vertices their
 edges reach. That difference W is kept dense, and the query is solved by
 Woodbury: one solve with the base factor, then one dense solve of the size
-of W. The iterative solver runs the fixed-point iteration
-f <- alpha * A @ f + y, which converges because alpha < 1 bounds the
-spectral radius of alpha * A.
+of W. Every fit factors, so that is the one production solve.
+
+The fixed-point iteration f <- alpha * A @ f + y, which converges because
+alpha < 1 bounds the spectral radius of alpha * A, is kept as the tests'
+oracle: it reads the transition matrix of a system assembled unfactored.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import DIRECT_SOLVER_MAX_VERTICES, HyperParams
 from .errors import ConfigError, ConvergenceError, NoEdgesError, SolverError
 from .hypergraph import EdgeTable, Hypergraph
 
@@ -51,8 +52,8 @@ _SPD_FACTOR = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 @dataclass
 class RankingSystem:
     # K in vertex order, duplicate entries adding up: kept by a base system
-    # assembled unfactored (the iterative solver and bordering read it);
-    # None on a base assembled ``ordered`` and on an update.
+    # assembled unfactored (the iterative oracle and the lazy factor read
+    # it); None on a base assembled ``ordered`` and on an update.
     kernel: sp.coo_matrix | None
     vertex_degree: np.ndarray
     alpha: float
@@ -112,11 +113,10 @@ def assemble(
     factor of its S in a fill-reducing order, which every direct solve of
     the system and of its updates reads.
 
-    With ``base``, the system of an overlay ``graph`` on the base's graph:
-    its appended vertices and edges. Every appended edge holds an appended
-    vertex, so the appended edges change S only on the vertices they reach.
-    On a factored base only that change is kept, as an update; otherwise the
-    appended edges border the base kernel and degrees.
+    With ``base``, a factored system, the system of an overlay ``graph`` on
+    the base's graph: its appended vertices and edges. Every appended edge
+    holds an appended vertex, so the appended edges change S only on the
+    vertices they reach, and only that change is kept, as an update.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
@@ -124,6 +124,8 @@ def assemble(
         raise NoEdgesError("hypergraph has no edges")
     if (base is None) != (graph.base is None):
         raise ValueError("an overlay needs its base's system, and only an overlay")
+    if base is not None and base.factor is None:
+        raise ValueError("an overlay needs a factored base system")
 
     n_v = graph.n_vertices
     degree, rows, cols, values = _edge_terms(graph.edges, n_v)
@@ -139,17 +141,6 @@ def assemble(
     n_base = base.n_vertices
     added = degree.copy()
     degree[:n_base] += base.vertex_degree
-    if base.factor is None:
-        old = base.kernel
-        kernel = sp.coo_matrix(
-            (
-                np.concatenate((old.data, values)),
-                (np.concatenate((old.row, rows)), np.concatenate((old.col, cols))),
-            ),
-            shape=(n_v, n_v),
-        )
-        return RankingSystem(kernel, degree, alpha)
-
     touched = np.union1d(rows, np.arange(n_base, n_v))
     n_touched = len(touched)
     # W = S - blockdiag(S0, I) on touched: the appended kernel terms, summed
@@ -324,17 +315,6 @@ def solve_iterative(
     raise ConvergenceError(iterations=max_iter, residual=step, tol=tol)
 
 
-def uses_direct(params: HyperParams, n_vertices: int) -> bool:
-    """Whether ``solve`` factors a system of this size: auto picks direct
-    below the size cutoff."""
-    if params.solver == "auto":
-        return n_vertices <= DIRECT_SOLVER_MAX_VERTICES
-    return params.solver == "direct"
-
-
-def solve(system: RankingSystem, query: np.ndarray, params: HyperParams) -> np.ndarray:
-    """Dispatch per params.solver; an update is solved against its base's
-    factor whatever its own size."""
-    if system.base is not None or uses_direct(params, system.n_vertices):
-        return solve_direct(system, query)
-    return solve_iterative(system, query, tol=params.tol)
+def solve(system: RankingSystem, query: np.ndarray) -> np.ndarray:
+    """Score vector of a query: the one production solve, ``solve_direct``."""
+    return solve_direct(system, query)

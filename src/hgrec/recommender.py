@@ -1,12 +1,12 @@
 """End-to-end recommendation: graft a target PR, seed a query, rank, filter.
 
 A fit builds the base graph and everything every query reads: its ranking
-system (degrees and, for the direct solver, S and its factor, else the
-kernel) and the candidate developers. A recommendation never mutates that
-state: the target PR (and its contributor, when new) is added in an overlay
-that holds only those vertices and their edges: one contributor edge plus
-the target's top-m strongest similar-PR edges. They update the base system,
-which is solved against the base factor. The developer vertices are ranked
+system (degrees, S and the factor of S, which every fit makes) and the
+candidate developers. A recommendation never mutates that state: the target
+PR (and its contributor, when new) is added in an overlay that holds only
+those vertices and their edges: one contributor edge plus the target's top-m
+strongest similar-PR edges. They update the base system, which is solved
+against the base factor. The developer vertices are ranked
 by ``rank_developers``, the one ranking rule every recommender shares.
 """
 
@@ -54,8 +54,8 @@ class Recommendation:
 @dataclass(frozen=True)
 class FitState:
     """Everything a query reads and none changes: the base graph, its ranking
-    system with S and its factor, the developer vertices
-    (ids and indices) and the corpus's historical comment counts."""
+    system, assembled with S and its factor, the developer vertices (ids and
+    indices) and the corpus's historical comment counts."""
 
     graph: Hypergraph
     system: ranker.RankingSystem
@@ -70,9 +70,7 @@ def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitS
         raise HgrecError("params differ from the ones the base graph was built with")
     if base.pr_index is None:
         raise HgrecError("base graph carries no PR index; rebuild it from a corpus")
-    system = ranker.assemble(
-        base, params.alpha, ordered=ranker.uses_direct(params, base.n_vertices)
-    )
+    system = ranker.assemble(base, params.alpha, ordered=True)
     return FitState(
         graph=base,
         system=system,
@@ -194,12 +192,9 @@ def rank_developers(
 def rank(state: FitState, target: TargetPR, k: int) -> Recommendation:
     """Algorithmic pipeline: graft, seed, update the base system and solve,
     filter and sort, truncate."""
-    params = state.graph.params
     graph = graft(state, target)
-    system = ranker.assemble(graph, params.alpha, base=state.system)
-    scores = ranker.solve(system, query_vector(graph, target), params)[
-        state.developer_vertices
-    ]
+    system = ranker.assemble(graph, state.graph.params.alpha, base=state.system)
+    scores = ranker.solve(system, query_vector(graph, target))[state.developer_vertices]
     ids = state.developer_ids
     if 0 < k < len(scores) - 1:
         # A developer below the (k+1)-th score trails at least k others even

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hgrec.config import HyperParams
 from hgrec.corpus import PullRequest, ReviewComment, ReviewCorpus
 from hgrec.hypergraph import EDGE_KINDS, EdgeKind, EdgeTable, Hypergraph
+from hgrec.recommender import query_vector
 
 DAY = 86400
 REPO = Path(__file__).resolve().parent.parent
@@ -110,6 +113,23 @@ def random_hypergraph(rng: np.random.Generator, max_vertices=200):
         weight = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.01, 1.0))
         edges.append((kind, members, weight))
     return make_graph(n, edges)
+
+
+def oracle_scores(graph, target, alpha):
+    """Solve (I - alpha * A) f = y with A assembled from the edge list of
+    the grafted graph: the base's edges, then the overlay's."""
+    n = graph.n_vertices
+    edges = [*graph.base.edges, *graph.edges]
+    incidence = np.zeros((n, len(edges)))
+    for e, edge in enumerate(edges):
+        incidence[list(edge.members), e] = 1.0
+    weights = np.array([edge.weight for edge in edges])
+    sizes = incidence.sum(axis=0)
+    degree = incidence @ weights
+    inv = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
+    transition = inv[:, None] * (incidence * (weights / sizes)) @ incidence.T
+    matrix = sp.csc_matrix(np.eye(n) - alpha * transition)
+    return spla.spsolve(matrix, query_vector(graph, target))
 
 
 @pytest.fixture

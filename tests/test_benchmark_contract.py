@@ -111,3 +111,10 @@ def test_a_fit_makes_no_kernel_row_and_a_query_one(tracing):
     target = TargetPR("query", last.contributor, last.created_at + 1, last.files)
     recommender.recommend(target, 5)
     assert run.layer_metrics(tracer, wrapped)["kernels.mean_similarity_row.calls"] == 1
+
+
+def test_the_solver_argument_perfbench_passes_builds_the_defaults():
+    """perfbench checks its default runs against
+    ``HyperParams(solver="direct")``: that call must keep constructing the
+    defaults while perfbench makes it."""
+    assert HyperParams(solver="direct") == HyperParams()

@@ -1,9 +1,9 @@
-"""The bordered per-query solve against a from-scratch oracle.
+"""The per-query update solve against a from-scratch oracle.
 
 A query updates the per-fit ranking system with the grafted vertices and
-edges and solves against the base factor. The oracle builds the transition
-matrix of the grafted graph from its edge list alone and solves
-(I - alpha * A) f = y with spsolve.
+edges and solves against the base factor. The oracle (``oracle_scores`` in
+conftest) builds the transition matrix of the grafted graph from its edge
+list alone and solves (I - alpha * A) f = y with spsolve.
 """
 
 import copy
@@ -24,7 +24,7 @@ from hgrec.fixtures import BOT_PATTERN
 from hgrec.hypergraph import EdgeKind, VertexKind, build
 from hgrec.recommender import TargetPR, graft, prepare, query_vector, rank
 
-from conftest import DAY, make_corpus, make_graph, make_pr
+from conftest import DAY, make_corpus, make_graph, make_pr, oracle_scores
 
 T0 = 1_600_000_000
 AREAS = ("src/net", "src/db", "src/ui", "docs")
@@ -51,23 +51,6 @@ def random_corpus(rng, n_prs=40, single_instant=False):
             comments.append((author, at))
         prs.append(make_pr(f"p{i:03d}", contributor, created, files, comments))
     return make_corpus(prs)
-
-
-def oracle_scores(graph, target, alpha):
-    """Solve (I - alpha * A) f = y with A assembled from the edge list of
-    the grafted graph: the base's edges, then the overlay's."""
-    n = graph.n_vertices
-    edges = [*graph.base.edges, *graph.edges]
-    incidence = np.zeros((n, len(edges)))
-    for e, edge in enumerate(edges):
-        incidence[list(edge.members), e] = 1.0
-    weights = np.array([edge.weight for edge in edges])
-    sizes = incidence.sum(axis=0)
-    degree = incidence @ weights
-    inv = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
-    transition = inv[:, None] * (incidence * (weights / sizes)) @ incidence.T
-    matrix = sp.csc_matrix(np.eye(n) - alpha * transition)
-    return spla.spsolve(matrix, query_vector(graph, target))
 
 
 def oracle_ranking(scores, graph, corpus, contributor):
@@ -162,7 +145,7 @@ def test_update_solve_matches_oracle_on_random_corpora(seed, top_m):
     rng = np.random.default_rng(300 + seed)
     single_instant = seed % 4 == 0
     corpus = random_corpus(rng, n_prs=int(rng.integers(3, 50)), single_instant=single_instant)
-    params = HyperParams(top_m=top_m, solver="direct")
+    params = HyperParams(top_m=top_m)
     for _ in range(4):
         contributor = ("newcomer", "loner", *DEVS)[int(rng.integers(len(DEVS) + 2))]
         when = (corpus.t_start, T0 + int(rng.integers(300)) * DAY, corpus.t_end + 30 * DAY)
@@ -177,35 +160,9 @@ def test_update_solve_matches_oracle_on_random_corpora(seed, top_m):
             check_query(corpus, target, params)
 
 
-def test_auto_solves_every_query_of_a_factored_fit_against_its_factor(monkeypatch):
-    # the base sits at the size cutoff, so the fit is factored; its queries
-    # exceed the cutoff and still read that factor
-    corpus = random_corpus(np.random.default_rng(6))
-    params = HyperParams(solver="auto")
-    monkeypatch.setattr(
-        ranker, "DIRECT_SOLVER_MAX_VERTICES", build(corpus, params).n_vertices
-    )
-    check_query(corpus, TargetPR("t", "newcomer", T0 + 40 * DAY, ("src/db/f2.c",)), params)
-
-
-def test_iterative_solver_agrees_on_bordered_systems():
-    corpus = random_corpus(np.random.default_rng(3))
-    target = TargetPR("t", "newcomer", T0 + 200 * DAY, ("src/net/f2.c", "src/ui/f1.c"))
-    direct = rank(prepare(build(corpus, HyperParams()), corpus, HyperParams()), target, 5)
-    params = HyperParams(solver="iterative", tol=1e-13)
-    state = prepare(build(corpus, params), corpus, params)
-    assert state.system.factor is None  # no factorization is prepared
-    iterative = rank(state, target, 5)
-    assert iterative.ids() == direct.ids()
-    np.testing.assert_allclose(
-        [s for _, s in iterative.candidates], [s for _, s in direct.candidates],
-        rtol=0, atol=1e-10,
-    )
-
-
 def test_base_system_is_ordered_at_assembly_and_rank_factors_once(monkeypatch):
     corpus = random_corpus(np.random.default_rng(4))
-    params = HyperParams(solver="direct")
+    params = HyperParams()
     graph = build(corpus, params)
     assert ranker.assemble(graph, params.alpha).factor is None
     assert ranker.assemble(graph, params.alpha, ordered=True).factor is not None
@@ -312,7 +269,7 @@ def test_fit_matrix_drops_zero_kernel_entries_and_keeps_isolated_rows():
 
 def test_update_residual_check_does_not_trust_the_base_factor():
     corpus = random_corpus(np.random.default_rng(8))
-    params = HyperParams(solver="direct")
+    params = HyperParams()
     state = prepare(build(corpus, params), corpus, params)
     target = TargetPR("t", "dev1", T0 + 90 * DAY, ("src/db/f2.c",))
     rank(state, target, 5)  # the true factor passes the check
@@ -336,7 +293,7 @@ def test_update_block_sums_like_add_at(seed):
     repeat."""
     rng = np.random.default_rng(500 + seed)
     corpus = random_corpus(rng, n_prs=int(rng.integers(3, 60)))
-    params = HyperParams(top_m=int(rng.integers(1, 12)), solver="direct")
+    params = HyperParams(top_m=int(rng.integers(1, 12)))
     state = prepare(build(corpus, params), corpus, params)
     base = state.system
     areas = (*AREAS, "solo")

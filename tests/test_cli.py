@@ -517,33 +517,42 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_non_finite_tol_exits_2_before_any_fit(
-        self, tmp_path, corpus_artifact, capsys, monkeypatch, value, source
+    @pytest.mark.parametrize(
+        "key, value", [("solver", '"direct"'), ("tol", "1e-10")], ids=["solver", "tol"]
+    )
+    def test_solver_keys_exit_2_before_any_fit(
+        self, tmp_path, corpus_artifact, capsys, monkeypatch, key, value
     ):
+        # every fit factors, so no config chooses or tunes a solver
         from hgrec.recommender import HypergraphRecommender
 
         fits = []
         monkeypatch.setattr(HypergraphRecommender, "fit", fits.append)
-        args = [*self.RECOMMEND, "--corpus", corpus_artifact, "--solver", "iterative"]
-        if source == "flag":
-            args += ["--tol", value]
-        else:
-            path = tmp_path / "config.json"
-            literal = {"inf": "Infinity", "nan": "NaN"}[value]
-            path.write_text(f'{{"params": {{"tol": {literal}}}}}')
-            args += ["--config", str(path)]
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"params": {{"{key}": {value}}}}}')
+        args = [*self.RECOMMEND, "--corpus", corpus_artifact, "--config", str(path)]
         assert main(args) == 2
         assert fits == []
-        assert capsys.readouterr().err.startswith("error: tol must be")
+        assert capsys.readouterr().err == f"error: unknown params keys: ['{key}']\n"
 
-    def test_similarity_unit_flag_is_gone(self, corpus_artifact, capsys):
+    @pytest.mark.parametrize("solver", ["iterative", "auto"])
+    def test_solver_argument_accepts_only_direct(self, solver):
+        from hgrec.config import HyperParams
+        from hgrec.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="solver"):
+            HyperParams(solver=solver)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--similarity-unit", "components"], ["--solver", "direct"], ["--tol", "1e-10"]],
+        ids=["similarity-unit", "solver", "tol"],
+    )
+    def test_similarity_unit_flag_is_gone(self, corpus_artifact, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:
-            main([*self.RECOMMEND, "--corpus", corpus_artifact,
-                  "--similarity-unit", "components"])
+            main([*self.RECOMMEND, "--corpus", corpus_artifact, *flag])
         assert exit_info.value.code == 2
-        assert "--similarity-unit" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
 
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -552,6 +561,8 @@ class TestConfig:
         text = capsys.readouterr().out
         for flag in ("--recommenders", "--ks", "--initial-months", "--max-rounds",
                      "--output-dir", "--alpha", "--top-m",
-                     "--comment-decay", "--solver", "--tol", "--ac-window-days",
+                     "--comment-decay", "--ac-window-days",
                      "--cn-decay", "--rd-scope", "--config"):
             assert flag in text
+        for flag in ("--solver", "--tol"):
+            assert flag not in text

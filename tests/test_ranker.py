@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hgrec.config import HyperParams
 from hgrec.errors import ConfigError, ConvergenceError, NoEdgesError, SolverError
 from hgrec.hypergraph import EdgeKind
 from hgrec.ranker import (
     RankingSystem,
     assemble,
-    solve,
     solve_direct,
     solve_iterative,
     transition_matrix,
@@ -220,19 +218,3 @@ class TestSolveIterative:
             solve_iterative(system, np.array([1.0, 0.0]), tol=1e-12, max_iter=3)
         assert err.value.iterations == 3
         assert err.value.residual > 0
-
-
-class TestSolveDispatch:
-    def test_auto_uses_direct_for_small(self):
-        system = assemble(two_vertex_graph(), alpha=0.5)
-        params = HyperParams(alpha=0.5, solver="auto")
-        np.testing.assert_allclose(
-            solve(system, np.array([1.0, 0.0]), params), [1.5, 0.5], atol=1e-12
-        )
-
-    def test_explicit_iterative(self):
-        system = assemble(two_vertex_graph(), alpha=0.5)
-        params = HyperParams(alpha=0.5, solver="iterative", tol=1e-12)
-        np.testing.assert_allclose(
-            solve(system, np.array([1.0, 0.0]), params), [1.5, 0.5], atol=1e-10
-        )

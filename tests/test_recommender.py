@@ -31,7 +31,7 @@ from hgrec.recommender import (
     recommend,
 )
 
-from conftest import DAY, make_corpus, make_pr
+from conftest import DAY, make_corpus, make_pr, oracle_scores
 
 T0 = 1_600_000_000
 
@@ -113,6 +113,9 @@ class TestGraft:
             ranker.assemble(grafted, params.alpha)
         with pytest.raises(ValueError, match="overlay"):
             ranker.assemble(base, params.alpha, base=state.system)
+        # an overlay updates a factored base only
+        with pytest.raises(ValueError, match="overlay"):
+            ranker.assemble(grafted, params.alpha, base=ranker.assemble(base, params.alpha))
 
     def test_future_target_extends_bounds(self):
         corpus = small_corpus()
@@ -251,7 +254,7 @@ class TestRankPruning:
         target = TargetPR("t", "c1", T0 + 40 * DAY, ("src/net/g0.c",))
         graph = graft(state, target)
         system = ranker.assemble(graph, state.graph.params.alpha, base=state.system)
-        scores = ranker.solve(system, query_vector(graph, target), state.graph.params)
+        scores = ranker.solve(system, query_vector(graph, target))
         scored = list(zip(state.developer_ids, scores[state.developer_vertices]))
         for k in range(1, len(scored) + 2):
             full = rank_developers(scored, state.comment_counts, target, k)
@@ -269,7 +272,7 @@ class TestRankPruning:
                   "r3": 0.5, "c2": 0.1}
         assert set(by_dev) == set(state.developer_ids)
 
-        def solve(system, query, params):
+        def solve(system, query):
             scores = np.zeros(system.n_vertices)
             for dev, v in zip(state.developer_ids, state.developer_vertices):
                 scores[v] = by_dev[dev]
@@ -380,7 +383,8 @@ class TestRecommend:
     def test_specialist_ranked_first_and_matches_argmax_oracle(
         self, specialist_corpus
     ):
-        """Brute-force oracle: direct solve, then argmax over candidates."""
+        """Brute-force oracle: a from-scratch solve of the grafted graph's
+        edge list, then argmax over candidates."""
         params = HyperParams()
         base = build(specialist_corpus, params)
         target = TargetPR("t", "carla", specialist_corpus.t_end + DAY,
@@ -389,10 +393,7 @@ class TestRecommend:
         assert result.ids() == ["nina"]
 
         grafted = graft(prepare(base, specialist_corpus, params), target)
-        system = ranker.assemble(
-            grafted, params.alpha, base=ranker.assemble(base, params.alpha)
-        )
-        scores = ranker.solve_direct(system, query_vector(grafted, target))
+        scores = oracle_scores(grafted, target, params.alpha)
         best, best_score = None, -1.0
         for v in grafted.vertices:
             if v.kind is not VertexKind.DEVELOPER or v.ref == "carla":
