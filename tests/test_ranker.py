@@ -11,6 +11,7 @@ from hgrec.hypergraph import EdgeKind
 from hgrec.ranker import (
     RankingSystem,
     assemble,
+    solve,
     solve_direct,
     solve_iterative,
     transition_matrix,
@@ -218,3 +219,25 @@ class TestSolveIterative:
             solve_iterative(system, np.array([1.0, 0.0]), tol=1e-12, max_iter=3)
         assert err.value.iterations == 3
         assert err.value.residual > 0
+
+
+class TestSolve:
+    """``solve``, the one production entry point, on ordered systems: the
+    ones a fit assembles."""
+
+    def test_ordered_two_vertex_closed_form(self):
+        system = assemble(two_vertex_graph(), alpha=0.5, ordered=True)
+        assert system.factor is not None
+        np.testing.assert_allclose(
+            solve(system, np.array([1.0, 0.0])), [1.5, 0.5], atol=1e-12
+        )
+
+    def test_matches_iterative_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            graph = random_hypergraph(rng, max_vertices=80)
+            query = np.zeros(graph.n_vertices)
+            query[int(rng.integers(graph.n_vertices))] = 1.0
+            scores = solve(assemble(graph, alpha=0.9, ordered=True), query)
+            oracle = solve_iterative(assemble(graph, alpha=0.9), query, tol=1e-12)
+            assert np.max(np.abs(scores - oracle)) < 1e-9
