@@ -76,6 +76,50 @@ class TargetPR:
         object.__setattr__(self, "files", tuple(sorted(set(self.files))))
 
 
+@dataclass(frozen=True)
+class ReviewTable:
+    """A corpus's PRs and comments as flat arrays, in corpus order.
+
+    Per PR: its id, its contributor's code, its creation time and its
+    chronology rank (its place when the PRs are sorted by creation time,
+    then id). Per comment, grouped by PR and in each PR's comment order: the
+    PR's position, the author's code and the time. A developer's code is its
+    position in ``names``, the sorted ids of every contributor and comment
+    author of the root corpus, so codes order developers as ids do.
+    """
+
+    ids: np.ndarray
+    names: np.ndarray
+    contributor: np.ndarray
+    created: np.ndarray
+    chronology: np.ndarray
+    comment_pr: np.ndarray
+    author: np.ndarray
+    comment_time: np.ndarray
+
+    def take(self, positions: np.ndarray, cut: int) -> "ReviewTable":
+        """The table of the PRs at ``positions`` (ascending) and of their
+        comments made before ``cut``; chronology ranks are ranks among
+        those PRs."""
+        n = len(positions)
+        local = np.full(len(self.ids), -1, dtype=np.intp)
+        local[positions] = np.arange(n)
+        comment_pr = local[self.comment_pr]
+        kept = np.flatnonzero((comment_pr >= 0) & (self.comment_time < cut))
+        chronology = np.empty(n, dtype=np.int64)
+        chronology[np.argsort(self.chronology[positions])] = np.arange(n)
+        return ReviewTable(
+            ids=self.ids[positions],
+            names=self.names,
+            contributor=self.contributor[positions],
+            created=self.created[positions],
+            chronology=chronology,
+            comment_pr=comment_pr[kept],
+            author=self.author[kept],
+            comment_time=self.comment_time[kept],
+        )
+
+
 @dataclass
 class ReviewCorpus:
     """Cleaned, chronologically ordered review history.
@@ -84,14 +128,16 @@ class ReviewCorpus:
     equal the min/max observed timestamp; windowed slices carry the window
     cut as ``t_end`` instead.
 
-    A corpus and every ``slice_until`` descendant share one similarity store,
-    held by the root: ``_positions`` maps a slice's PRs to the root's.
+    A corpus and every ``slice_until`` descendant share one similarity store
+    and one review table, held by the root: ``_positions`` maps a slice's
+    PRs to the root's, and ``_comment_cut`` is the earliest cut of the
+    slices between it and the root, before which its comments were made.
     """
 
     prs: list[PullRequest]
     t_start: int
     t_end: int
-    # Filled by comment_counts(), or by hypergraph.build's comment pass.
+    # Filled by comment_counts(), or by hypergraph.build from the review table.
     _comment_counts: dict[str, int] | None = field(
         default=None, repr=False, compare=False
     )
@@ -103,6 +149,12 @@ class ReviewCorpus:
     )
     _root: "ReviewCorpus | None" = field(default=None, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _comment_cut: int | None = field(default=None, repr=False, compare=False)
+    # The root's review table (read-only), made by its or a slice's first
+    # review_table().
+    _review_table: ReviewTable | None = field(
+        default=None, repr=False, compare=False
+    )
     # The root's sweep of its PRs against each other (read-only), held by
     # the root once a slice has read it.
     _similarity: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
@@ -150,6 +202,23 @@ class ReviewCorpus:
         if self._reviewer_incidence is None:
             self._reviewer_incidence = _build_reviewer_incidence(self.prs)
         return self._reviewer_incidence
+
+    def review_table(self) -> ReviewTable:
+        """This corpus's PRs and comments as a ``ReviewTable``.
+
+        The root's table is made on first use and kept, read-only, where the
+        root and every slice read it; a slice's is the root's taken at its
+        PRs and at the comments before its cut. Concurrent first reads build
+        twice, and the root keeps either. ``slice_until`` makes none, so a
+        corpus that is never built from, as by the baselines, has none.
+        """
+        root = self._root or self
+        table = root._review_table
+        if table is None:
+            table = root._review_table = _build_review_table(root.prs)
+        if self._positions is None:
+            return table
+        return table.take(self._positions, self._comment_cut)
 
     def similarity_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positive entries of ``kernels.mean_similarity_entries`` of this
@@ -209,7 +278,41 @@ class ReviewCorpus:
             t_end=cut,
             _root=self._root or self,
             _positions=positions,
+            _comment_cut=(
+                cut if self._comment_cut is None else min(self._comment_cut, cut)
+            ),
         )
+
+
+def _build_review_table(prs: list[PullRequest]) -> ReviewTable:
+    names = sorted(
+        {pr.contributor for pr in prs} | {c.author for pr in prs for c in pr.comments}
+    )
+    code = {name: i for i, name in enumerate(names)}
+    n_comments = [len(pr.comments) for pr in prs]
+    total = sum(n_comments)
+    order = sorted(range(len(prs)), key=lambda i: (prs[i].created_at, prs[i].id))
+    chronology = np.empty(len(prs), dtype=np.int64)
+    chronology[order] = np.arange(len(prs))
+    table = ReviewTable(
+        ids=np.array([pr.id for pr in prs], dtype=object),
+        names=np.array(names, dtype=object),
+        contributor=np.fromiter(
+            (code[pr.contributor] for pr in prs), np.intp, len(prs)
+        ),
+        created=np.fromiter((pr.created_at for pr in prs), np.int64, len(prs)),
+        chronology=chronology,
+        comment_pr=np.repeat(np.arange(len(prs)), n_comments),
+        author=np.fromiter(
+            (code[c.author] for pr in prs for c in pr.comments), np.intp, total
+        ),
+        comment_time=np.fromiter(
+            (c.created_at for pr in prs for c in pr.comments), np.int64, total
+        ),
+    )
+    for part in vars(table).values():
+        part.flags.writeable = False
+    return table
 
 
 def _build_reviewer_incidence(

@@ -196,13 +196,16 @@ def rd(records: Sequence[PRRecord], k: int, n_reviewers: int) -> float:
     for r in records:
         for dev in r.ranked[:k]:
             slots[dev] = slots.get(dev, 0) + 1
-    total = sum(slots.values())
+    counts = slots.values()
+    total = sum(counts)
     if total == 0:
         return 0.0
-    entropy = -sum(
-        (c / total) * math.log2(c / total) for c in slots.values() if c > 0
+    # Slots share few distinct counts: each count's term is computed once,
+    # and the terms are added in slot order.
+    term = {c: (c / total) * math.log2(c / total) for c in set(counts)}
+    return -sum(map(term.__getitem__, counts)) / math.log2(
+        max(n_reviewers, len(slots))
     )
-    return entropy / math.log2(max(n_reviewers, len(slots)))
 
 
 # ---------------------------------------------------------------------------

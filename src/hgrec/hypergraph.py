@@ -15,6 +15,11 @@ mix of roles they played). Three hyperedge families connect them:
 Raw weights are min-max normalized per edge family. A graph keeps its edges
 as a few flat arrays (``EdgeTable``) and its vertices as one ref -> index map
 per kind; ``Vertex`` and ``Hyperedge`` rows are made only when read.
+``build`` makes them by array operations over the corpus's review table
+(``ReviewCorpus.review_table``). The scalar formulas ``weight_pr_reviewer``,
+``weight_pr_contributor`` and ``weight_pr_pr`` state each weight for one
+edge, as the tests' oracles; ``build`` reproduces the bits of the first
+two.
 """
 
 from __future__ import annotations
@@ -306,16 +311,35 @@ def scale_into_range(raw, raw_range: tuple[float, float] | None):
 # Construction.
 
 
+def _exp(exponents: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry. ``np.exp`` rounds differently on different
+    SIMD paths, which would make a graph's weights depend on the host."""
+    values = exponents.tolist()
+    return np.fromiter(map(math.exp, values), np.float64, len(values))
+
+
 def pr_pr_raw_row(sims: np.ndarray, times, span: float, t_created) -> np.ndarray:
     """Raw pr_pr weights: kernel entries ``sims`` between PRs created at
     ``times`` and PRs created at ``t_created`` (one time, or one per entry),
-    damped in place by the time gaps. Each factor is ``math.exp``'s, as in
-    ``weight_pr_reviewer``: ``np.exp`` rounds differently on different SIMD
-    paths, which would make a graph's weights depend on the host."""
+    damped in place by the time gaps, each factor ``math.exp``'s."""
     if span:
-        exponents = (-np.abs(times - t_created) / span).tolist()
-        sims *= np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
+        sims *= _exp(-np.abs(times - t_created) / span)
     return sims
+
+
+def contributor_raw(created, t_start: int, t_end: int):
+    """Raw pr_contributor weights of PRs created at ``created`` (one time,
+    or an array of them): the bits of ``weight_pr_contributor`` of each,
+    with its warning in a single-instant window."""
+    span = _span(t_start, t_end)
+    if not span:
+        warnings.warn(
+            "single-instant corpus: contributor edge weight defaults to 1.0",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return np.ones(np.shape(created))
+    return (created - t_start) / span
 
 
 def _top_entries(
@@ -339,97 +363,134 @@ def _top_entries(
     return live[place < top_m]
 
 
-def _chronology_rank(prs: list[PullRequest]) -> np.ndarray:
-    order = sorted(range(len(prs)), key=lambda i: (prs[i].created_at, prs[i].id))
-    rank = np.empty(len(prs), dtype=np.int64)
-    for position, i in enumerate(order):
-        rank[i] = position
-    return rank
-
-
 def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     """Construct the base hypergraph from a cleaned corpus.
 
-    Vertices are added in corpus order (PR, then its contributor, then its
-    reviewers sorted by id), so two builds from equal inputs are identical.
-    Edges follow the same order (each PR's contributor edge, then its
-    reviewer edge), then the pr_pr edges sorted by PR pair. The one pass
-    over the comments also counts each author's comments, which it leaves
-    as the corpus's ``comment_counts``.
+    Vertices are numbered in corpus order (PR, then its contributor, then its
+    reviewers sorted by id, a developer where first met), so two builds from
+    equal inputs are identical; PR ids are distinct, as ``clean`` and
+    ``corpus_from_json`` ensure. Edges follow the same order (each PR's
+    contributor edge, then its reviewer edge), then the pr_pr edges sorted by
+    PR pair. Every step is an array operation over the corpus's
+    ``review_table``; counting each author's comments there also leaves the
+    corpus's ``comment_counts``.
     """
     if not corpus.prs:
         raise EmptyCorpusError("cannot build a hypergraph from an empty corpus")
 
-    prs: dict[str, int] = {}
-    developers: dict[str, int] = {}
-
-    def developer(ref: str) -> int:
-        index = developers.get(ref)
-        if index is None:
-            index = developers[ref] = len(prs) + len(developers)
-        return index
-
-    counts: dict[str, int] = {}
-    kinds: list[int] = []
-    sizes: list[int] = []
-    members: list[int] = []
-    raws: list[float] = []
-    pr_vertices: list[int] = []
+    table = corpus.review_table()
+    n = len(table.ids)
+    n_names = len(table.names)
     t_start, t_end = corpus.t_start, corpus.t_end
-    for pr in corpus.prs:
-        pr_v = prs.setdefault(pr.id, len(prs) + len(developers))
-        pr_vertices.append(pr_v)
-        contributor_v = developer(pr.contributor)
-        kinds.append(_CONTRIBUTOR)
-        sizes.append(2)
-        members.extend(sorted((pr_v, contributor_v)))
-        raws.append(weight_pr_contributor(pr, t_start, t_end))
-        reviewers = set()
-        for comment in pr.comments:
-            counts[comment.author] = counts.get(comment.author, 0) + 1
-            if comment.author != pr.contributor:
-                reviewers.add(comment.author)
-        if reviewers:
-            member_ids = [developer(r) for r in sorted(reviewers)]
-            kinds.append(_REVIEWER)
-            sizes.append(len(member_ids) + 1)
-            members.extend(sorted((pr_v, *member_ids)))
-            raws.append(
-                weight_pr_reviewer(
-                    pr, reviewers, params.comment_decay, t_start, t_end
-                )
-            )
-    corpus._comment_counts = counts
+    span = _span(t_start, t_end)
+    counts = np.bincount(table.author, minlength=n_names)
+    authors = np.flatnonzero(counts)
+    corpus._comment_counts = dict(
+        zip(table.names[authors].tolist(), counts[authors].tolist())
+    )
+
+    # Review comments (by anyone but the PR's contributor) sorted by PR, then
+    # reviewer code, each reviewer's in comment order; each run is one of
+    # the distinct (PR, reviewer) pairs, which ascend.
+    review = np.flatnonzero(table.author != table.contributor[table.comment_pr])
+    key = table.comment_pr[review] * n_names + table.author[review]
+    order = np.argsort(key, kind="stable")
+    review, key = review[order], key[order]
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(fresh)
+    run = np.cumsum(fresh) - 1
+    pair_pr, pair_dev = np.divmod(key[first], n_names)
+
+    # Vertex numbering: a stream of each PR, its contributor, then its
+    # reviewers, where a PR and each developer's first appearance take the
+    # next index. PR i stands in the stream as code n_names + i.
+    slots = n_names + 2
+    stream = np.concatenate(
+        (np.arange(n) * slots, np.arange(n) * slots + 1, pair_pr * slots + 2 + pair_dev)
+    )
+    code = np.concatenate((n_names + np.arange(n), table.contributor, pair_dev))
+    code = code[np.argsort(stream)]
+    new = code[np.sort(np.unique(code, return_index=True)[1])]
+    vertex_of = np.empty(n_names + n, dtype=np.int64)
+    vertex_of[new] = np.arange(len(new))
+    pr_v = vertex_of[n_names:]
+    new_developers = new[new < n_names]
+
+    # Contributor edges: one per PR, its vertex and its contributor's.
+    contributor_v = vertex_of[table.contributor]
+    contributor_members = np.stack(
+        (np.minimum(pr_v, contributor_v), np.maximum(pr_v, contributor_v)), axis=1
+    ).ravel()
+    contributor_raws = contributor_raw(table.created, t_start, t_end)
+
+    # Reviewer edges: one per reviewed PR, its vertex and its reviewers',
+    # ascending. The j-th comment of a reviewer on the PR adds the term
+    # comment_decay**j * exp((t - t_end) / span), Python's own ``**`` and
+    # ``math.exp`` as in ``weight_pr_reviewer``, and one bincount adds each
+    # PR's terms in its order: reviewer by reviewer (sorted), each
+    # reviewer's in comment order.
+    reviewed, pair_edge, n_reviewers = np.unique(
+        pair_pr, return_inverse=True, return_counts=True
+    )
+    entry_edge = np.concatenate((np.arange(len(reviewed)), pair_edge))
+    entry_v = np.concatenate((pr_v[reviewed], vertex_of[pair_dev]))
+    reviewer_members = entry_v[np.argsort(entry_edge * (n_names + n) + entry_v)]
+    depth = np.arange(len(key)) - first[run]
+    decay = params.comment_decay
+    terms = np.array(
+        [decay**j for j in range(int(depth.max(initial=-1)) + 1)], dtype=np.float64
+    )[depth]
+    if span:
+        terms *= _exp((table.comment_time[review] - t_end) / span)
+    reviewer_raws = np.bincount(
+        pair_edge[run], weights=terms, minlength=len(reviewed)
+    )
+
+    # Each PR's contributor edge, then its reviewer edge: edge keys 2i and
+    # 2i + 1, by which a stable sort of the members interleaves them.
+    keys = np.concatenate((2 * np.arange(n), 2 * reviewed + 1))
+    sizes = np.concatenate((np.full(n, 2), n_reviewers + 1))
+    by_key = np.argsort(keys)
+    kinds = np.concatenate(
+        (np.full(n, _CONTRIBUTOR), np.full(len(reviewed), _REVIEWER))
+    )[by_key]
+    members = np.concatenate((contributor_members, reviewer_members))[
+        np.argsort(np.repeat(keys, sizes), kind="stable")
+    ]
+    raws = np.concatenate((contributor_raws, reviewer_raws))[by_key]
+    sizes = sizes[by_key]
 
     # Pairwise PR links: every positive entry of the corpus's sweep, damped by
     # this window's time gaps; a pair becomes an edge when either endpoint
     # ranks it within its own top-m. Zero-weight pairs never qualify.
-    times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
-    order_rank = _chronology_rank(corpus.prs)
+    times = table.created.astype(np.float64)
     rows, cols, sims = corpus.similarity_entries()
     off_diagonal = rows != cols
     rows, cols = rows[off_diagonal], cols[off_diagonal]
-    raw = pr_pr_raw_row(
-        sims[off_diagonal], times[cols], _span(t_start, t_end), times[rows]
-    )
-    top = _top_entries(rows, cols, raw, order_rank, params.top_m)
+    raw = pr_pr_raw_row(sims[off_diagonal], times[cols], span, times[rows])
+    top = _top_entries(rows, cols, raw, table.chronology, params.top_m)
     rows, cols, raw = rows[top], cols[top], raw[top]
     # One edge per pair, sorted by pair. Rows come ascending, so the stable
     # sort puts the entry of the pair's first PR ahead when both chose it.
     # The int32 indices are widened so that the key cannot overflow.
     low = np.minimum(rows, cols).astype(np.int64)
-    pair = low * len(corpus.prs) + np.maximum(rows, cols)
+    pair = low * n + np.maximum(rows, cols)
     order = np.argsort(pair, kind="stable")
     fresh = np.ones(len(order), dtype=bool)
     fresh[1:] = pair[order][1:] != pair[order][:-1]
     first = order[fresh]
-    vertex_of = np.asarray(pr_vertices, dtype=np.int64)
-    ends = vertex_of[rows[first]], vertex_of[cols[first]]
+    ends = pr_v[rows[first]], pr_v[cols[first]]
     pairs = np.stack((np.minimum(*ends), np.maximum(*ends)), axis=1)
 
     graph = Hypergraph(
-        prs=prs,
-        developers=developers,
+        prs=dict(zip(table.ids.tolist(), pr_v.tolist())),
+        developers=dict(
+            zip(
+                table.names[new_developers].tolist(),
+                vertex_of[new_developers].tolist(),
+            )
+        ),
         edges=EdgeTable.of(
             np.concatenate((kinds, np.full(len(first), _PR_PR))),
             np.concatenate((sizes, np.full(len(first), 2))),
@@ -439,7 +500,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
         bounds=(t_start, t_end),
         raw_range={},
         params=params,
-        pr_index=PRIndex(corpus.file_pack(), times, order_rank, vertex_of),
+        pr_index=PRIndex(corpus.file_pack(), times, table.chronology, pr_v),
     )
     return normalize_weights(graph)
 

@@ -115,8 +115,9 @@ def assemble(
 
     With ``base``, a factored system, the system of an overlay ``graph`` on
     the base's graph: its appended vertices and edges. Every appended edge
-    holds an appended vertex, so the appended edges change S only on the
-    vertices they reach, and only that change is kept, as an update.
+    is a pair holding an appended vertex, so the appended edges change S
+    only on the vertices they reach, and only that change is kept, as an
+    update.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
@@ -128,33 +129,48 @@ def assemble(
         raise ValueError("an overlay needs a factored base system")
 
     n_v = graph.n_vertices
-    degree, rows, cols, values = _edge_terms(graph.edges, n_v)
     if base is None:
-        kernel = sp.coo_matrix((values, (rows, cols)), shape=(n_v, n_v))
-        kernel.sum_duplicates()
-        system = RankingSystem(kernel, degree, alpha)
+        degree, rows, cols, values = _edge_terms(graph.edges, n_v)
+        system = RankingSystem(None, degree, alpha)
         if ordered:
+            # S and its factor are all a factored fit reads.
+            system.matrix = _system_matrix(
+                rows, cols, values, degree + system.isolated, alpha
+            )
             _factor(system)
-            system.kernel = None  # S and its factor are all a factored fit reads
+        else:
+            system.kernel = sp.coo_matrix((values, (rows, cols)), shape=(n_v, n_v))
+            system.kernel.sum_duplicates()
         return system
 
+    # A pair's four kernel terms (u, u), (u, v), (v, u), (v, v) are each
+    # weight / 2, in ``_edge_terms``' order.
+    edges = graph.edges
+    if len(edges.members) != 2 * len(edges):
+        raise ValueError("an overlay's edges must each hold two vertices")
     n_base = base.n_vertices
-    added = degree.copy()
-    degree[:n_base] += base.vertex_degree
-    touched = np.union1d(rows, np.arange(n_base, n_v))
+    touched = np.union1d(edges.members, np.arange(n_base, n_v))
     n_touched = len(touched)
-    # W = S - blockdiag(S0, I) on touched: the appended kernel terms, summed
-    # in input order, the added degree, and the identity rows that vanish
-    # (base vertices the appended edges reach) or stay (isolated appended
-    # vertices).
-    before = np.ones(n_v)
-    before[:n_base] = base.isolated
-    at = np.searchsorted(touched, rows) * n_touched + np.searchsorted(touched, cols)
+    k = n_touched - (n_v - n_base)  # touched base vertices
+    ends = np.searchsorted(touched, edges.members)
+    cells = np.repeat(ends, 2) * n_touched + np.tile(ends.reshape(-1, 2), 2).ravel()
+    # W = S - blockdiag(S0, I) on touched: the appended kernel terms, each
+    # entry's summed in edge order, the added degree, and the identity rows
+    # that vanish (base vertices the appended edges reach) or stay (isolated
+    # appended vertices).
     update = np.bincount(
-        at, weights=-alpha * values, minlength=n_touched * n_touched
+        cells,
+        weights=np.repeat(-alpha * (edges.weight / 2), 4),
+        minlength=n_touched * n_touched,
     ).reshape(n_touched, n_touched)
+    added = np.bincount(ends, weights=np.repeat(edges.weight, 2), minlength=n_touched)
+    degree = np.zeros(n_v)
+    degree[:n_base] = base.vertex_degree
+    before = np.ones(n_touched)
+    before[:k] = degree[touched[:k]] <= 0.0
+    degree[touched] += added
     update.reshape(-1)[:: n_touched + 1] += (
-        added[touched] + (degree[touched] <= 0.0) - before[touched]
+        added + (degree[touched] <= 0.0) - before
     )
     return RankingSystem(
         None, degree, alpha, base=base, touched=touched, update=update
@@ -171,44 +187,61 @@ def transition_matrix(system: RankingSystem) -> sp.csr_matrix:
 
 
 def _system_matrix(
-    kernel: sp.coo_matrix, diagonal: np.ndarray, alpha: float
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    diagonal: np.ndarray,
+    alpha: float,
 ) -> sp.csc_matrix:
-    """diag(diagonal) - alpha * K in CSC, array for array the matrix of
-    ``(sp.diags(diagonal) - alpha * kernel).tocsc()``: each stored value is
-    the diagonal term minus the scaled kernel entry, and entries that come
-    to zero are not stored."""
-    if not kernel.has_canonical_format:
-        kernel = kernel.copy()
-        kernel.sum_duplicates()
+    """diag(diagonal) - alpha * K in CSC, K the sum of the kernel triplets,
+    array for array the matrix of ``(sp.diags(diagonal) - alpha * K).tocsc()``
+    with K a summed ``coo_matrix``: one stable column-major sort groups each
+    entry's terms in input order, and ``np.add.reduceat`` adds them as
+    ``sum_duplicates`` does. Each stored value is the diagonal term minus
+    the scaled kernel entry, and entries that come to zero are not stored.
+    """
     n = len(diagonal)
-    rows, cols = kernel.row, kernel.col
-    scaled = alpha * kernel.data
+    # Diagonal terms that meet no kernel entry stand alone: each joins the
+    # sort as a zero kernel term, which keeps its value the diagonal's.
+    alone = np.ones(n, dtype=bool)
+    alone[rows[rows == cols]] = False
+    alone = np.flatnonzero(alone)
+    key = np.concatenate((cols.astype(np.int64) * n + rows, alone * (n + 1)))
+    # Column-major, rows ascending within a column, each entry's terms in
+    # input order: the key with each term's position appended is unique,
+    # so the default sort orders it as a stable sort would order the key
+    # (n * n * len(key) stays far below 2**63).
+    order = np.argsort(key * len(key) + np.arange(len(key)))
+    key = key[order]
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(fresh)
+    terms = np.concatenate((values, np.zeros(len(alone))))[order]
+    scaled = alpha * np.add.reduceat(terms, starts)
+    cols, rows = np.divmod(key[starts], n)
     values = -scaled
     on_diagonal = np.flatnonzero(rows == cols)
-    at = rows[on_diagonal]
-    values[on_diagonal] = diagonal[at] - scaled[on_diagonal]
-    # Diagonal terms that meet no kernel entry stand alone.
-    alone = np.ones(n, dtype=bool)
-    alone[at] = False
-    alone = np.flatnonzero(alone)
-    rows = np.concatenate((rows, alone))
-    cols = np.concatenate((cols, alone))
-    values = np.concatenate((values, diagonal[alone]))
+    values[on_diagonal] = diagonal[rows[on_diagonal]] - scaled[on_diagonal]
     kept = np.flatnonzero(values)
-    # Column-major, rows ascending within a column.
-    order = kept[np.argsort(cols[kept].astype(np.int64) * n + rows[kept])]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols[order], minlength=n), out=indptr[1:])
-    return sp.csc_matrix((values[order], rows[order], indptr), shape=(n, n))
+    np.cumsum(np.bincount(cols[kept], minlength=n), out=indptr[1:])
+    return sp.csc_matrix((values[kept], rows[kept], indptr), shape=(n, n))
 
 
 def _factor(system: RankingSystem) -> spla.SuperLU:
     """Factor of S in a minimum-degree order on S + S.T, made with S from
-    the system's kernel; both memoized on the system."""
+    the system's kernel unless the system holds S; both memoized on the
+    system."""
     if system.factor is None:
-        system.matrix = _system_matrix(
-            system.kernel, system.vertex_degree + system.isolated, system.alpha
-        )
+        if system.matrix is None:
+            kernel = system.kernel
+            system.matrix = _system_matrix(
+                kernel.row,
+                kernel.col,
+                kernel.data,
+                system.vertex_degree + system.isolated,
+                system.alpha,
+            )
         try:
             system.factor = spla.splu(
                 system.matrix, permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR

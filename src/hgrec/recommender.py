@@ -28,9 +28,9 @@ from .hypergraph import (
     EdgeTable,
     Hypergraph,
     VertexKind,
+    contributor_raw,
     pr_pr_raw_row,
     scale_into_range,
-    weight_pr_contributor,
     _span,
     _top_entries,
 )
@@ -137,7 +137,7 @@ def graft(state: FitState, target: TargetPR) -> Hypergraph:
     members[2::2] = index.vertices[partners]
     members[3::2] = pr_v
     raws = np.empty(n_edges)
-    raws[0] = weight_pr_contributor(target, t_start, t_end)
+    raws[0] = contributor_raw(target.created_at, t_start, t_end)
     raws[1:] = raw[top]
     ranges = base.raw_range
     weights = np.empty(n_edges)

@@ -21,7 +21,7 @@ from hgrec.config import HyperParams
 from hgrec.corpus import clean, parse_export
 from hgrec.errors import SolverError
 from hgrec.fixtures import BOT_PATTERN
-from hgrec.hypergraph import EdgeKind, VertexKind, build
+from hgrec.hypergraph import EdgeKind, EdgeTable, VertexKind, build
 from hgrec.recommender import TargetPR, graft, prepare, query_vector, rank
 
 from conftest import DAY, make_corpus, make_graph, make_pr, oracle_scores
@@ -265,6 +265,42 @@ def test_fit_matrix_drops_zero_kernel_entries_and_keeps_isolated_rows():
     assert fitted.isolated.tolist() == [False, False, True, True]
     assert (fitted.matrix.data != 0.0).all()
     np.testing.assert_array_equal(fitted.matrix.diagonal()[2:], 1.0)
+
+
+def test_fit_matrix_sums_a_long_run_of_terms_like_the_sparse_chain():
+    """Vertex 0 lies in 11 edges, so its diagonal sums a run of 11 terms,
+    which ``np.add.reduceat`` adds in unrolled blocks, not in sequence (the
+    weights are drawn so that the two sums differ); vertex 13 lies in
+    none."""
+    rng = np.random.default_rng(4)
+    edges = [
+        (EdgeKind.PR_PR, (0, i), float(rng.uniform(0.05, 1.0))) for i in range(1, 11)
+    ]
+    edges.append((EdgeKind.PR_REVIEWER, (0, 11, 12), float(rng.uniform(0.05, 1.0))))
+    graph = make_graph(14, edges)
+    _, rows, cols, values = ranker._edge_terms(graph.edges, 14)
+    run = values[(rows == 0) & (cols == 0)]
+    in_sequence = 0.0
+    for term in run:
+        in_sequence += term
+    assert len(run) >= 9 and in_sequence != np.add.reduceat(run, [0])[0]
+    unfactored, fitted = assert_fit_matrix_is_the_sparse_chain(graph, 0.9)
+    assert fitted.isolated.tolist() == [False] * 13 + [True]
+    assert fitted.matrix[13, 13] == 1.0
+
+
+def test_overlay_edges_must_be_pairs():
+    corpus = random_corpus(np.random.default_rng(3))
+    params = HyperParams()
+    state = prepare(build(corpus, params), corpus, params)
+    graph = graft(state, TargetPR("t", "dev1", T0 + 90 * DAY, ("src/db/f2.c",)))
+    n = graph.n_vertices
+    tripled = dataclasses.replace(
+        graph,
+        edges=EdgeTable.of([0], [3], [0, n - 2, n - 1], [0.5], [0.5]),
+    )
+    with pytest.raises(ValueError, match="two vertices"):
+        ranker.assemble(tripled, params.alpha, base=state.system)
 
 
 def test_update_residual_check_does_not_trust_the_base_factor():

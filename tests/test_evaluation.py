@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -208,6 +209,31 @@ class TestMetrics:
         records_b = [PRRecord(f"p{i}", frozenset(), ["q", "w"][i % 2 :][:1])
                      for i in range(6)]
         assert rd(records_a, 1, 5) == rd(records_b, 1, 5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rd_adds_one_term_per_slot_in_slot_order(self, seed):
+        """rd against its loop: one term per assignee, added in the order
+        assignees are first met, bit for bit."""
+        rng = random.Random(seed)
+        devs = [f"d{i}" for i in range(rng.randint(2, 30))]
+        width = len(devs) // 2 + 1
+        records = [
+            PRRecord(f"p{i}", frozenset(), rng.sample(devs, rng.randint(0, width)))
+            for i in range(rng.randint(1, 20))
+        ]
+        for k in (1, 3, 5, 10):
+            slots = {}
+            for r in records:
+                for dev in r.ranked[:k]:
+                    slots[dev] = slots.get(dev, 0) + 1
+            total = sum(slots.values())
+            expected = 0.0
+            if total:
+                entropy = -sum(
+                    (c / total) * math.log2(c / total) for c in slots.values()
+                )
+                expected = entropy / math.log2(max(12, len(slots)))
+            assert rd(records, k, 12) == expected
 
     def test_rd_needs_two_reviewers(self):
         with pytest.raises(UndefinedMetricError):

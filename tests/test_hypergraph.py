@@ -7,23 +7,42 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
+from hgrec import corpus as corpus_module
+from hgrec.baselines import create_recommender
 from hgrec.config import HyperParams
-from hgrec.corpus import ReviewCorpus, clean, parse_export
+from hgrec.corpus import (
+    PullRequest,
+    ReviewComment,
+    ReviewCorpus,
+    TargetPR,
+    clean,
+    parse_export,
+)
 from hgrec.evaluation import make_rounds
 from hgrec.fixtures import BOT_PATTERN
 from hgrec.hypergraph import (
+    EDGE_KINDS,
     EdgeKind,
+    EdgeTable,
+    Hypergraph,
+    PRIndex,
     VertexKind,
+    _span,
+    _top_entries,
     build,
     graph_to_dict,
     normalize_weights,
     path_similarity,
+    pr_pr_raw_row,
     weight_pr_contributor,
     weight_pr_pr,
     weight_pr_reviewer,
@@ -425,6 +444,238 @@ class TestSharedSimilarityStore:
             sys.setswitchinterval(interval)
         for corpus, graph in zip(slices, graphs):
             assert graph_to_dict(graph) == graph_to_dict(build(_fresh(corpus), params))
+
+
+# ---------------------------------------------------------------------------
+# The array build against the per-PR loop it replaced.
+
+
+def loop_build(corpus, params):
+    """The graph and comment counts of one Python pass over the PRs and their
+    comments, calling the scalar weight formulas per edge, with the pr_pr
+    edges chosen as ``build`` chooses them."""
+    prs, developers, counts = {}, {}, {}
+
+    def developer(ref):
+        if ref not in developers:
+            developers[ref] = len(prs) + len(developers)
+        return developers[ref]
+
+    kinds, sizes, members, raws, pr_vertices = [], [], [], [], []
+    t_start, t_end = corpus.t_start, corpus.t_end
+    for pr in corpus.prs:
+        pr_v = prs.setdefault(pr.id, len(prs) + len(developers))
+        pr_vertices.append(pr_v)
+        contributor_v = developer(pr.contributor)
+        kinds.append(EDGE_KINDS.index(EdgeKind.PR_CONTRIBUTOR))
+        sizes.append(2)
+        members.extend(sorted((pr_v, contributor_v)))
+        raws.append(weight_pr_contributor(pr, t_start, t_end))
+        reviewers = set()
+        for comment in pr.comments:
+            counts[comment.author] = counts.get(comment.author, 0) + 1
+            if comment.author != pr.contributor:
+                reviewers.add(comment.author)
+        if reviewers:
+            member_ids = [developer(r) for r in sorted(reviewers)]
+            kinds.append(EDGE_KINDS.index(EdgeKind.PR_REVIEWER))
+            sizes.append(len(member_ids) + 1)
+            members.extend(sorted((pr_v, *member_ids)))
+            raws.append(
+                weight_pr_reviewer(pr, reviewers, params.comment_decay, t_start, t_end)
+            )
+
+    times = np.asarray([pr.created_at for pr in corpus.prs], dtype=np.float64)
+    order = sorted(
+        range(len(corpus.prs)),
+        key=lambda i: (corpus.prs[i].created_at, corpus.prs[i].id),
+    )
+    chronology = np.empty(len(order), dtype=np.int64)
+    chronology[order] = np.arange(len(order))
+    rows, cols, sims = corpus.similarity_entries()
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    raw = pr_pr_raw_row(
+        sims[off_diagonal], times[cols], _span(t_start, t_end), times[rows]
+    )
+    top = _top_entries(rows, cols, raw, chronology, params.top_m)
+    rows, cols, raw = rows[top], cols[top], raw[top]
+    low = np.minimum(rows, cols).astype(np.int64)
+    pair = low * len(corpus.prs) + np.maximum(rows, cols)
+    pair_order = np.argsort(pair, kind="stable")
+    fresh = np.ones(len(pair_order), dtype=bool)
+    fresh[1:] = pair[pair_order][1:] != pair[pair_order][:-1]
+    first = pair_order[fresh]
+    vertex_of = np.asarray(pr_vertices, dtype=np.int64)
+    ends = vertex_of[rows[first]], vertex_of[cols[first]]
+    pairs = np.stack((np.minimum(*ends), np.maximum(*ends)), axis=1)
+    graph = Hypergraph(
+        prs=prs,
+        developers=developers,
+        edges=EdgeTable.of(
+            np.concatenate(
+                (kinds, np.full(len(first), EDGE_KINDS.index(EdgeKind.PR_PR)))
+            ),
+            np.concatenate((sizes, np.full(len(first), 2))),
+            np.concatenate((members, pairs.ravel())),
+            np.concatenate((raws, raw[first])),
+        ),
+        bounds=(t_start, t_end),
+        raw_range={},
+        params=params,
+        pr_index=PRIndex(corpus.file_pack(), times, chronology, vertex_of),
+    )
+    return normalize_weights(graph), counts
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_builds_like_the_loop(corpus, params=HyperParams()):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        graph = build(corpus, params)
+        oracle, counts = loop_build(corpus, params)
+    assert graph_to_dict(graph) == graph_to_dict(oracle)
+    assert list(graph.prs.items()) == list(oracle.prs.items())
+    assert list(graph.developers.items()) == list(oracle.developers.items())
+    for name in ("kind", "offsets", "members", "raw", "weight"):
+        assert _same_bits(getattr(graph.edges, name), getattr(oracle.edges, name)), name
+    for name in ("times", "chronology", "vertices"):
+        assert _same_bits(getattr(graph.pr_index, name), getattr(oracle.pr_index, name))
+    assert graph.raw_range == oracle.raw_range
+    assert corpus.comment_counts() == counts
+
+
+DEVELOPERS = tuple(f"dev{i}" for i in range(7))
+
+
+def _review_history(rng, n_prs):
+    """PRs with comments in no particular time order: a reviewer with 40
+    comments on one PR (its 38th and later terms are where ``np.power``
+    departs from Python's ``**``), contributors commenting on their own PRs,
+    and PRs that no one else reviews."""
+    prs = []
+    for i in range(n_prs):
+        created = T0 + int(rng.integers(0, 90)) * DAY
+        contributor = DEVELOPERS[int(rng.integers(len(DEVELOPERS)))]
+        areas = rng.choice(["src/net", "src/db", "docs"], size=int(rng.integers(1, 3)))
+        files = {f"{area}/f{int(rng.integers(5))}.c" for area in areas}
+        authors = [contributor] * int(rng.integers(0, 2))
+        if rng.random() < 0.8:
+            authors += [
+                DEVELOPERS[int(rng.integers(len(DEVELOPERS)))]
+                for _ in range(int(rng.integers(0, 7)))
+            ]
+        comments = [
+            ReviewComment(author, created + int(rng.integers(0, 40)) * 3600 * 24)
+            for author in authors
+        ]
+        prs.append(
+            PullRequest(
+                f"p{i:03d}", contributor, created, tuple(files), tuple(comments)
+            )
+        )
+    # PR 0: the long review, its comments interleaved with another's.
+    chatty = [
+        ReviewComment(
+            "dev9" if j % 5 else "dev8", prs[0].created_at + (j * 7919) % 97 * 3600
+        )
+        for j in range(48)
+    ]
+    prs[0].comments = (*prs[0].comments, *chatty)
+    return prs
+
+
+def _corpus_of(prs):
+    stamps = [pr.created_at for pr in prs]
+    stamps += [c.created_at for pr in prs for c in pr.comments]
+    return ReviewCorpus(prs=prs, t_start=min(stamps), t_end=max(stamps))
+
+
+class TestArrayBuild:
+    """``build``'s array pass equals the per-PR loop bit for bit: vertex
+    maps, every edge-table array, the PR index and the comment counts."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_root_and_its_windows(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        prs = _review_history(rng, int(rng.integers(8, 40)))
+        assert sum(c.author == "dev9" for c in prs[0].comments) >= 38
+        assert any(
+            c.author == pr.contributor for pr in prs for c in pr.comments
+        )
+        assert any(not pr.reviewers() for pr in prs)
+        assert any(
+            a.created_at > b.created_at
+            for pr in prs for a, b in zip(pr.comments, pr.comments[1:])
+        )
+        by_time = sorted(prs, key=lambda pr: pr.created_at)
+        for root in (_corpus_of(by_time), _corpus_of(prs)):  # prs: shuffled
+            assert_builds_like_the_loop(root)
+            cuts = sorted({pr.created_at for pr in prs})
+            for cut in cuts[1:: max(1, len(cuts) // 4)]:
+                window = root.slice_until(cut)
+                assert_builds_like_the_loop(window)
+                inner = window.slice_until(cut - 5 * DAY)
+                if inner.prs:
+                    assert_builds_like_the_loop(inner)
+
+    def test_slice_of_a_slice_keeps_the_first_cut(self):
+        rng = np.random.default_rng(77)
+        root = _corpus_of(
+            sorted(_review_history(rng, 30), key=lambda pr: pr.created_at)
+        )
+        first_cut = T0 + 40 * DAY
+        later_cut = T0 + 70 * DAY
+        window = root.slice_until(first_cut).slice_until(later_cut)
+        assert window.t_end == later_cut
+        assert all(c.created_at < first_cut for pr in window.prs for c in pr.comments)
+        assert any(
+            first_cut <= c.created_at < later_cut
+            for pr in root.prs if pr.created_at < first_cut for c in pr.comments
+        )
+        assert_builds_like_the_loop(window)
+
+    def test_single_instant_corpus_warns(self):
+        prs = [
+            make_pr(f"p{i}", f"c{i % 2}", T0, ["src/a.c"],
+                    comments=[(f"r{j}", T0) for j in range(i % 3)]
+                    + [(f"c{i % 2}", T0)])
+            for i in range(6)
+        ]
+        corpus = make_corpus(prs)
+        with pytest.warns(RuntimeWarning, match="single-instant"):
+            build(corpus, HyperParams())
+        assert_builds_like_the_loop(corpus)
+
+    def test_review_table_built_once_per_root(self, monkeypatch):
+        built = []
+        make = corpus_module._build_review_table
+        monkeypatch.setattr(
+            corpus_module, "_build_review_table",
+            lambda prs: built.append(len(prs)) or make(prs),
+        )
+        rng = np.random.default_rng(5)
+        root = _corpus_of(
+            sorted(_review_history(rng, 30), key=lambda pr: pr.created_at)
+        )
+        cuts = [T0 + d * DAY for d in (30, 50, 70)]
+        windows = [root.slice_until(cut) for cut in cuts]
+        windows.append(windows[-1].slice_until(cuts[0]))
+        target = TargetPR("t", "newcomer", T0 + 95 * DAY, ("src/db/f1.c",))
+        for name in ("ac", "revfinder", "chrev", "cn"):
+            for window in windows:
+                create_recommender(name).fit(window).recommend(target, 3)
+        assert built == []
+        for window in windows:
+            build(window, HyperParams())
+        build(root, HyperParams())
+        assert built == [30]
+        other = _corpus_of(list(root.prs))
+        build(other.slice_until(cuts[1]), HyperParams())
+        assert built == [30, 30]
 
 
 # ---------------------------------------------------------------------------
