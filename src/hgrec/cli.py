@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -38,9 +39,28 @@ from .evaluation import RecommenderSpec, run_comparison
 from .hypergraph import graph_to_dict
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a UTF-8 text file, stripped, with their numbers."""
     with open(path, "r", encoding="utf-8") as handle:
-        return [line.strip() for line in handle if line.strip()]
+        try:
+            numbered = list(enumerate(handle, start=1))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    return [(n, line.strip()) for n, line in numbered if line.strip()]
+
+
+def _read_bot_patterns(path: str) -> list[re.Pattern]:
+    """One regular expression per non-blank line, compiled; a bad one is a
+    ConfigError naming its line."""
+    patterns = []
+    for number, text in _read_lines(path):
+        try:
+            patterns.append(re.compile(text))
+        except re.error as exc:
+            raise ConfigError(
+                f"bots file {path} line {number}: bad pattern {text!r}: {exc}"
+            ) from exc
+    return patterns
 
 
 def _load_corpus(path: str):
@@ -54,12 +74,18 @@ def _read_export(path: str, config: RunConfig, skip_invalid: bool = False):
     with open(path, "rb") as handle:
         raw_bytes = handle.read()
     errors: list = []
-    prs = parse_export(raw_bytes.splitlines(), skip_invalid=skip_invalid, errors=errors)
+    lines: list = []
+    prs = parse_export(
+        raw_bytes.splitlines(), skip_invalid=skip_invalid, errors=errors, lines=lines
+    )
+    bot_patterns = _read_bot_patterns(config.bots) if config.bots else ()
+    excluded = _read_lines(config.exclude) if config.exclude else ()
     corpus = clean(
         prs,
-        bot_patterns=_read_lines(config.bots) if config.bots else (),
+        bot_patterns=bot_patterns,
         min_reviews=config.min_reviews,
-        exclude_ids=_read_lines(config.exclude) if config.exclude else (),
+        exclude_ids=[account for _, account in excluded],
+        lines=lines,
     )
     return corpus, raw_bytes, errors
 
@@ -215,12 +241,13 @@ def cmd_ingest(args) -> int:
     corpus, raw_bytes, errors = _read_export(
         args.input, _merge_config(args), args.skip_invalid
     )
-    artifact = corpus_to_json(corpus, source_sha256=sha256_of(raw_bytes))
+    stats = corpus.stats()
+    artifact = corpus_to_json(corpus, source_sha256=sha256_of(raw_bytes), stats=stats)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(artifact)
     print(
         json.dumps(
-            {"written": args.output, "skipped_lines": len(errors), **corpus.stats()},
+            {"written": args.output, "skipped_lines": len(errors), **stats},
             sort_keys=True,
         )
     )

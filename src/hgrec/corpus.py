@@ -9,6 +9,14 @@ The export format is one JSON object per line:
 Unknown fields are ignored. Timestamps are normalized to UTC epoch seconds
 with sub-second precision truncated; every model formula uses ratios of time
 differences, so the unit choice cancels.
+
+Every record is read once: ``parse_record`` is the only validator, for
+export lines, ``recommend`` targets and the PRs of a corpus artifact, and it
+checks and converts each comment in one step. ``clean`` keeps a PR that
+loses no comment as the parsed object, matches accounts only when there are
+bot patterns or excluded ids, and names both export lines of a repeated PR
+id when given the lines ``parse_export`` collects. ``corpus_to_json`` writes
+the artifact with sorted keys.
 """
 
 from __future__ import annotations
@@ -16,8 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -26,6 +37,7 @@ from . import kernels
 from .errors import EmptyCorpusError, ExportParseError, HgrecError
 
 PR_STATES = ("merged", "closed", "open")
+_created_at = attrgetter("created_at")
 
 
 @dataclass(frozen=True)
@@ -337,16 +349,27 @@ def parse_timestamp(text: str) -> int:
     """RFC 3339 string -> UTC epoch seconds (sub-second part truncated).
 
     Raises ValueError on a malformed string and TypeError on a non-string.
+    A string ``datetime.fromisoformat`` takes as given (on Python 3.11, every
+    canonical stamp, ``Z`` included) is read in one call; any other value
+    takes the path that strips it and rewrites a final ``Z`` or ``z`` as
+    ``+00:00``, which gives the same moment for every string both accept.
     """
+    try:
+        moment = datetime.fromisoformat(text)
+    except (TypeError, ValueError):
+        moment = _lenient_fromisoformat(text)
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return int(moment.timestamp())
+
+
+def _lenient_fromisoformat(text: object) -> datetime:
     if not isinstance(text, str):
         raise TypeError(f"expected an RFC 3339 string, got {type(text).__name__}")
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
-    moment = datetime.fromisoformat(raw)
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return int(moment.timestamp())
+    return datetime.fromisoformat(raw)
 
 
 def format_timestamp(epoch: int) -> str:
@@ -377,67 +400,77 @@ def parse_record(
     corpus artifact stores epoch seconds where an export has RFC 3339."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
-    defaults = {"id": "target", "state": "open"} if query else {}
-    obj = {"files": [], "comments": [], **defaults, **obj}
-    for key in ("id", "contributor", "created_at", "state"):
-        if key not in obj:
-            raise ValueError(f"missing required field {key!r}")
-    if obj["state"] not in PR_STATES:
-        raise ValueError(f"state must be one of {PR_STATES}, got {obj['state']!r}")
-    for key in ("id", "contributor"):
-        if not obj[key] or not isinstance(obj[key], str):
-            raise ValueError(f"{key} must be a non-empty string")
     try:
-        created = timestamp(obj["created_at"])
+        pr_id = obj.get("id", "target") if query else obj["id"]
+        contributor = obj["contributor"]
+        created_at = obj["created_at"]
+        state = obj.get("state", "open") if query else obj["state"]
+    except KeyError as exc:
+        raise ValueError(f"missing required field {exc.args[0]!r}") from None
+    if state not in PR_STATES:
+        raise ValueError(f"state must be one of {PR_STATES}, got {state!r}")
+    if not pr_id or not isinstance(pr_id, str):
+        raise ValueError("id must be a non-empty string")
+    if not contributor or not isinstance(contributor, str):
+        raise ValueError("contributor must be a non-empty string")
+    try:
+        created = timestamp(created_at)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad created_at: {exc}") from exc
-    files = obj["files"]
+    files = obj.get("files", [])
     if not isinstance(files, list) or not all(isinstance(f, str) and f for f in files):
         raise ValueError("files must be a list of non-empty strings")
     if query and not files:
         raise ValueError("files must name at least one path")
-    if not isinstance(obj["comments"], list):
+    raw_comments = obj.get("comments", [])
+    if not isinstance(raw_comments, list):
         raise ValueError("comments must be a list")
 
+    # Each comment is checked and converted in one step.
     comments = []
-    for i, raw in enumerate(obj["comments"]):
+    for i, raw in enumerate(raw_comments):
         if not isinstance(raw, dict) or "author" not in raw or "created_at" not in raw:
             raise ValueError(f"comment {i} must carry author and created_at")
-        if not raw["author"] or not isinstance(raw["author"], str):
+        author = raw["author"]
+        if not author or not isinstance(author, str):
             raise ValueError(f"comment {i} author must be a non-empty string")
         try:
             at = timestamp(raw["created_at"])
         except (ValueError, TypeError) as exc:
             raise ValueError(f"comment {i} has bad created_at: {exc}") from exc
-        comments.append(ReviewComment(author=raw["author"], created_at=at))
+        comments.append(ReviewComment(author, at))
 
     # Ascending time, ties kept in input order.
-    comments.sort(key=lambda c: c.created_at)
+    comments.sort(key=_created_at)
     return PullRequest(
-        id=obj["id"],
-        contributor=obj["contributor"],
+        id=pr_id,
+        contributor=contributor,
         created_at=created,
         files=tuple(sorted(set(files))),
         comments=tuple(comments),
-        state=obj["state"],
+        state=state,
     )
 
 
 def parse_export(
-    stream: Iterable, skip_invalid: bool = False, errors: list | None = None
+    stream: Iterable,
+    skip_invalid: bool = False,
+    errors: list | None = None,
+    lines: list | None = None,
 ) -> list[PullRequest]:
     """Parse a JSONL export into raw PullRequests, preserving input order.
 
     By default the first malformed line raises ExportParseError carrying its
     line number. With skip_invalid=True bad lines are skipped and counted;
-    pass ``errors`` (a list) to collect the per-line errors.
+    pass ``errors`` (a list) to collect the per-line errors, and ``lines``
+    (a list) to collect each returned PR's line number.
     """
     prs = []
     for line_number, line in enumerate(stream, start=1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             prs.append(parse_record(_load_json(line)))
         except ValueError as exc:
@@ -446,6 +479,9 @@ def parse_export(
                 errors.append(error)
             if not skip_invalid:
                 raise error from exc
+            continue
+        if lines is not None:
+            lines.append(line_number)
     return prs
 
 
@@ -462,9 +498,10 @@ def parse_target(data: bytes | dict) -> TargetPR:
 
 def clean(
     raw: list[PullRequest],
-    bot_patterns: Iterable[str] = (),
+    bot_patterns: Iterable[str | re.Pattern] = (),
     min_reviews: int = 2,
     exclude_ids: Iterable[str] = (),
+    lines: list[int] | None = None,
 ) -> ReviewCorpus:
     """Apply the cleaning rules and produce a chronologically sorted corpus.
 
@@ -477,6 +514,10 @@ def clean(
          enter a reviewer set);
       4. drop PRs with no recorded changed files;
       5. compute the time bounds and sort ascending by creation time.
+
+    A PR that keeps every comment is kept as the same object. Two kept PRs
+    with one id are an error; ``lines``, each raw PR's export line (as
+    ``parse_export`` collects them), lets the error name both lines.
     """
     bot_res = [re.compile(p) for p in bot_patterns]
     excluded = set(exclude_ids)
@@ -484,44 +525,57 @@ def clean(
     def dropped_account(account: str) -> bool:
         return account in excluded or any(r.search(account) for r in bot_res)
 
+    # (raw position, PR, its reviewers) of each PR passing steps 1 and 2.
     stage = []
-    for pr in raw:
-        if pr.state == "open" or dropped_account(pr.contributor):
+    for at, pr in enumerate(raw):
+        if pr.state == "open":
             continue
-        kept = tuple(c for c in pr.comments if not dropped_account(c.author))
-        stage.append(
-            PullRequest(pr.id, pr.contributor, pr.created_at, pr.files, kept, pr.state)
-        )
+        if bot_res or excluded:
+            if dropped_account(pr.contributor):
+                continue
+            kept = tuple(c for c in pr.comments if not dropped_account(c.author))
+            if len(kept) < len(pr.comments):
+                pr = PullRequest(
+                    pr.id, pr.contributor, pr.created_at, pr.files, kept, pr.state
+                )
+        stage.append((at, pr, pr.reviewers()))
 
-    # Reviewer participation is counted in distinct reviewed PRs.
-    seen_on: dict[str, set[str]] = {}
-    for pr in stage:
-        for reviewer in pr.reviewers():
-            seen_on.setdefault(reviewer, set()).add(pr.id)
-    casual = {r for r, prs_ in seen_on.items() if len(prs_) < min_reviews}
+    # Reviewer participation is counted in distinct reviewed PR ids: an id
+    # can repeat here when step 4 leaves only one of its PRs.
+    reviewed: dict[str, frozenset[str]] = {}
+    for _, pr, reviewers in stage:
+        seen = reviewed.get(pr.id)
+        reviewed[pr.id] = reviewers if seen is None else seen | reviewers
+    participation = Counter(chain.from_iterable(reviewed.values()))
+    casual = {r for r, n in participation.items() if n < min_reviews}
 
     cleaned = []
-    for pr in stage:
-        kept = tuple(
-            c
-            for c in pr.comments
-            if not (c.author in casual and c.author != pr.contributor)
-        )
+    first_at: dict[str, int] = {}
+    for at, pr, reviewers in stage:
         if not pr.files:
             continue
-        cleaned.append(
-            PullRequest(pr.id, pr.contributor, pr.created_at, pr.files, kept, pr.state)
-        )
+        if not casual.isdisjoint(reviewers):
+            kept = tuple(
+                c
+                for c in pr.comments
+                if not (c.author in casual and c.author != pr.contributor)
+            )
+            pr = PullRequest(
+                pr.id, pr.contributor, pr.created_at, pr.files, kept, pr.state
+            )
+        first = first_at.setdefault(pr.id, at)
+        if first != at:
+            message = f"duplicate PR id {pr.id!r}"
+            if lines is None:
+                raise HgrecError(message)
+            raise ExportParseError(
+                lines[at], f"{message} (first at line {lines[first]})"
+            )
+        cleaned.append(pr)
 
     if not cleaned:
         raise EmptyCorpusError("cleaning removed every pull request")
-    seen_ids = set()
-    for pr in cleaned:
-        if pr.id in seen_ids:
-            raise HgrecError(f"duplicate PR id {pr.id!r}")
-        seen_ids.add(pr.id)
-
-    cleaned.sort(key=lambda pr: pr.created_at)
+    cleaned.sort(key=_created_at)
     stamps = [pr.created_at for pr in cleaned]
     stamps.extend(c.created_at for pr in cleaned for c in pr.comments)
     return ReviewCorpus(prs=cleaned, t_start=min(stamps), t_end=max(stamps))
@@ -538,29 +592,38 @@ def reviewer_sets(corpus: ReviewCorpus) -> dict[str, frozenset[str]]:
 ARTIFACT_FORMAT = "hgrec-corpus-v1"
 
 
-def corpus_to_json(corpus: ReviewCorpus, source_sha256: str | None = None) -> str:
+def corpus_to_json(
+    corpus: ReviewCorpus,
+    source_sha256: str | None = None,
+    stats: dict[str, int] | None = None,
+) -> str:
+    """The artifact text; ``stats`` is ``corpus.stats()`` when the caller
+    already has it. Every dict is built with its keys in sorted order, so
+    the text is what ``sort_keys`` would give."""
+    if stats is None:
+        stats = corpus.stats()
     payload = {
         "format": ARTIFACT_FORMAT,
-        "source_sha256": source_sha256,
-        "t_start": corpus.t_start,
-        "t_end": corpus.t_end,
-        "stats": corpus.stats(),
         "prs": [
             {
-                "id": pr.id,
-                "contributor": pr.contributor,
-                "created_at": pr.created_at,
-                "state": pr.state,
-                "files": list(pr.files),
                 "comments": [
                     {"author": c.author, "created_at": c.created_at}
                     for c in pr.comments
                 ],
+                "contributor": pr.contributor,
+                "created_at": pr.created_at,
+                "files": pr.files,
+                "id": pr.id,
+                "state": pr.state,
             }
             for pr in corpus.prs
         ],
+        "source_sha256": source_sha256,
+        "stats": dict(sorted(stats.items())),
+        "t_end": corpus.t_end,
+        "t_start": corpus.t_start,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _epoch_seconds(value: object) -> int:

@@ -1,5 +1,6 @@
 """CLI commands end to end over the bundled fixture."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 from hgrec.cli import main
 from hgrec.fixtures import BOT_PATTERN, fixture_jsonl
+
+from conftest import load_synth
 
 FIXTURE = Path(__file__).parent / "data" / "review_history_50pr.jsonl"
 
@@ -165,6 +168,102 @@ class TestIngest:
             reviewers |= {c["author"] for c in r["comments"]} - {r["contributor"]}
         assert stats["reviewers"] == len(reviewers)
         assert stats["contributors"] == len({r["contributor"] for r in rows})
+
+
+# sha256 of the artifact and the stats line `ingest` prints, as written before
+# ingest was made to read each record once.
+INGEST_PINS = {
+    "fixture": (
+        "cada0834ca6f0d133c9a8eb38a3f76a6132b0db3cbfa275e35d0c6c560d636b2",
+        '{"comments": 90, "contributors": 4, "prs": 48, "reviewers": 5, '
+        '"skipped_lines": 0, "written": "OUT"}',
+    ),
+    "backtest-baselines": (
+        "dd0eb5be9e2a755c157fc13527c0b743d49010de276b98aa37fb6905631b5e63",
+        '{"comments": 2313, "contributors": 80, "prs": 760, "reviewers": 80, '
+        '"skipped_lines": 0, "written": "OUT"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_PINS))
+def test_ingest_output_is_pinned(tmp_path, capsys, bots_file, name):
+    """`ingest` of the bundled fixture (with its bot pattern) and of the
+    benchmark's seed-1 backtest-baselines export writes the same bytes."""
+    if name == "fixture":
+        export, extra = FIXTURE, ["--bots", bots_file]
+    else:
+        synth = load_synth()
+        records, _ = synth.generate(synth.Shape(prs=800, months=36), "1/0")
+        export, extra = tmp_path / "export.jsonl", []
+        export.write_text(synth.to_jsonl(records), encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    assert main(["ingest", "--input", str(export), "--output", str(out), *extra]) == 0
+    digest, line = INGEST_PINS[name]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out == line.replace("OUT", str(out)) + "\n"
+
+
+class TestIngestErrors:
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
+    def test_bad_bot_pattern_names_its_line(self, tmp_path, capsys, command):
+        bots = tmp_path / "bots.txt"
+        bots.write_text(BOT_PATTERN + "\n\n[unclosed\n")
+        argv = [command, "--input", str(FIXTURE), "--bots", str(bots)]
+        if command == "ingest":
+            argv += ["--output", str(tmp_path / "o.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: bots file {bots} line 3: bad pattern '[unclosed': "
+            "unterminated character set"
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--bots", "--exclude"])
+    def test_list_file_not_utf8_exits_2(self, tmp_path, capsys, flag):
+        listed = tmp_path / "accounts.txt"
+        listed.write_bytes(b"\xff[bot]\n")
+        assert main(["stats", "--input", str(FIXTURE), flag, str(listed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {listed}: not UTF-8 text: ")
+
+    @staticmethod
+    def export_repeating_line_1(tmp_path, *, state="merged", invalid=False):
+        """The fixture, a blank line, optionally a line that is not JSON, and
+        its first PR again."""
+        rows = FIXTURE.read_text().splitlines()
+        repeat = {**json.loads(rows[0]), "state": state}
+        rows += ["", *(["not json"] if invalid else []), json.dumps(repeat)]
+        src = tmp_path / "repeat.jsonl"
+        src.write_text("\n".join(rows) + "\n")
+        return src
+
+    # `stats` has no --skip-invalid.
+    @pytest.mark.parametrize(
+        "command, skip_invalid", [("ingest", False), ("ingest", True), ("stats", False)]
+    )
+    def test_repeated_pr_id_names_both_lines(self, tmp_path, capsys, command, skip_invalid):
+        src = self.export_repeating_line_1(tmp_path, invalid=skip_invalid)
+        argv = [command, "--input", str(src)]
+        if command == "ingest":
+            argv += ["--output", str(tmp_path / "o.json")]
+        if skip_invalid:
+            argv.append("--skip-invalid")
+        assert main(argv) == 2
+        line = 53 if skip_invalid else 52  # physical lines: the blank one counts
+        assert capsys.readouterr().err == (
+            f"error: line {line}: duplicate PR id 'pr-001' (first at line 1)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
+    def test_repeated_pr_id_dropped_by_cleaning_is_no_error(self, tmp_path, capsys, command):
+        src = self.export_repeating_line_1(tmp_path, state="open")
+        argv = [command, "--input", str(src)]
+        if command == "ingest":
+            argv += ["--output", str(tmp_path / "o.json")]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["prs"] == 48
 
 
 def artifact(**pr_fields):
