@@ -180,7 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--input", help="raw JSONL export path")
     stats.add_argument("--bots", help="bot regex file (with --input)")
     stats.add_argument("--exclude", help="exclusion list file (with --input)")
-    stats.add_argument("--min-reviews", dest="min_reviews", type=int)
+    stats.add_argument(
+        "--min-reviews",
+        dest="min_reviews",
+        type=int,
+        help="reviewer participation threshold (with --input)",
+    )
+    stats.add_argument(
+        "--skip-invalid",
+        action="store_true",
+        help="skip and count malformed lines (with --input)",
+    )
     stats.set_defaults(handler=cmd_stats)
 
     rec = sub.add_parser("recommend", help="rank reviewers for one target PR")
@@ -257,11 +267,30 @@ def cmd_ingest(args) -> int:
 def cmd_stats(args) -> int:
     if bool(args.corpus) == bool(args.input):
         raise HgrecError("pass exactly one of --corpus or --input")
-    if args.corpus:
-        corpus = _load_corpus(args.corpus)
-    else:
-        corpus, _, _ = _read_export(args.input, _merge_config(args))
-    print(json.dumps(corpus.stats(), sort_keys=True))
+    if args.input:
+        corpus, _, errors = _read_export(
+            args.input, _merge_config(args), args.skip_invalid
+        )
+        print(
+            json.dumps(
+                {"skipped_lines": len(errors), **corpus.stats()}, sort_keys=True
+            )
+        )
+        return 0
+    # An artifact is already parsed and cleaned: these flags would do nothing.
+    given = [
+        flag
+        for flag, value in (
+            ("--bots", args.bots),
+            ("--exclude", args.exclude),
+            ("--min-reviews", args.min_reviews),
+            ("--skip-invalid", args.skip_invalid or None),
+        )
+        if value is not None
+    ]
+    if given:
+        raise HgrecError(f"{', '.join(given)}: only with --input, not --corpus")
+    print(json.dumps(_load_corpus(args.corpus).stats(), sort_keys=True))
     return 0
 
 

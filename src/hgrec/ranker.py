@@ -29,18 +29,26 @@ of W. Every fit factors, so that is the one production solve.
 The fixed-point iteration f <- alpha * A @ f + y, which converges because
 alpha < 1 bounds the spectral radius of alpha * A, is kept as the tests'
 oracle: it reads the transition matrix of a system assembled unfactored.
+
+scipy is imported where a system is first factored or assembled unfactored,
+not with this module: only a hypergraph fit needs it, and a process that
+never fits one (ingest, stats, the baselines) never loads it. No import runs
+on the per-query path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceError, NoEdgesError, SolverError
 from .hypergraph import EdgeTable, Hypergraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 # A direct solve must reproduce its right-hand side to this relative bound.
 RESIDUAL_BOUND = 1e-10
@@ -139,6 +147,8 @@ def assemble(
             )
             _factor(system)
         else:
+            import scipy.sparse as sp
+
             system.kernel = sp.coo_matrix((values, (rows, cols)), shape=(n_v, n_v))
             system.kernel.sum_duplicates()
         return system
@@ -180,6 +190,8 @@ def assemble(
 def transition_matrix(system: RankingSystem) -> sp.csr_matrix:
     """Vertex-to-vertex diffusion operator; memoized on the system."""
     if system._transition is None:
+        import scipy.sparse as sp
+
         inv_dv = np.zeros(system.n_vertices)
         np.divide(1.0, system.vertex_degree, out=inv_dv, where=~system.isolated)
         system._transition = (sp.diags(inv_dv) @ system.kernel).tocsr()
@@ -200,6 +212,8 @@ def _system_matrix(
     ``sum_duplicates`` does. Each stored value is the diagonal term minus
     the scaled kernel entry, and entries that come to zero are not stored.
     """
+    import scipy.sparse as sp
+
     n = len(diagonal)
     # Diagonal terms that meet no kernel entry stand alone: each joins the
     # sort as a zero kernel term, which keeps its value the diagonal's.
@@ -233,6 +247,8 @@ def _factor(system: RankingSystem) -> spla.SuperLU:
     the system's kernel unless the system holds S; both memoized on the
     system."""
     if system.factor is None:
+        import scipy.sparse.linalg as spla
+
         if system.matrix is None:
             kernel = system.kernel
             system.matrix = _system_matrix(

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from hgrec.fixtures import BOT_PATTERN, fixture_jsonl
 from conftest import load_synth
 
 FIXTURE = Path(__file__).parent / "data" / "review_history_50pr.jsonl"
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -239,9 +243,9 @@ class TestIngestErrors:
         src.write_text("\n".join(rows) + "\n")
         return src
 
-    # `stats` has no --skip-invalid.
     @pytest.mark.parametrize(
-        "command, skip_invalid", [("ingest", False), ("ingest", True), ("stats", False)]
+        "command, skip_invalid",
+        [("ingest", False), ("ingest", True), ("stats", False), ("stats", True)],
     )
     def test_repeated_pr_id_names_both_lines(self, tmp_path, capsys, command, skip_invalid):
         src = self.export_repeating_line_1(tmp_path, invalid=skip_invalid)
@@ -284,6 +288,30 @@ class TestStats:
         assert main(["stats"]) == 2
         assert main(["stats", "--corpus", corpus_artifact,
                      "--input", str(FIXTURE)]) == 2
+
+    def test_input_skip_invalid_counts_skipped_lines(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_text(FIXTURE.read_text() + "not json\n{}\n")
+        out = tmp_path / "o.json"
+        assert main(["ingest", "--input", str(src), "--output", str(out),
+                     "--skip-invalid"]) == 0
+        ingested = json.loads(capsys.readouterr().out)
+        assert main(["stats", "--input", str(src), "--skip-invalid"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["skipped_lines"] == 2
+        assert stats == {k: v for k, v in ingested.items() if k != "written"}
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--bots", "bots.txt"], ["--exclude", "ids.txt"], ["--min-reviews", "0"],
+         ["--skip-invalid"]],
+        ids=["bots", "exclude", "min-reviews", "skip-invalid"],
+    )
+    def test_corpus_rejects_input_only_flags(self, corpus_artifact, capsys, flag):
+        assert main(["stats", "--corpus", corpus_artifact, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag[0]}: only with --input, not --corpus\n"
 
     @pytest.mark.parametrize(
         "text, field",
@@ -665,3 +693,59 @@ class TestConfig:
             assert flag in text
         for flag in ("--solver", "--tol"):
             assert flag not in text
+
+
+# Runs in a fresh interpreter: which modules a command loads is a property
+# of the whole process, so it cannot be read inside the test session.
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import hgrec
+import hgrec.cli
+
+fixture, workdir = sys.argv[1:]
+corpus = workdir + "/corpus.json"
+target = ["--files", "src/net/tcp.c,src/net/dns.c", "--contributor", "eve",
+          "--time", "2020-08-01T00:00:00Z"]
+commands = {
+    "ingest": ["ingest", "--input", fixture, "--output", corpus],
+    "stats --input": ["stats", "--input", fixture],
+    "stats --corpus": ["stats", "--corpus", corpus],
+    "evaluate baselines": ["evaluate", "--corpus", corpus, "--recommenders",
+                           "ac,revfinder,chrev,cn", "--output-dir", workdir + "/out"],
+    "recommend revfinder": ["recommend", "--corpus", corpus, *target,
+                            "--recommender", "revfinder"],
+    "recommend hgrec": ["recommend", "--corpus", corpus, *target],
+}
+loaded = {"import": "scipy" in sys.modules}
+for name, argv in commands.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hgrec.cli.main(argv)
+    loaded[name] = (code, "scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_hypergraph_fit_imports_scipy(tmp_path):
+    """`import hgrec`, ingest, stats, a baselines-only evaluate and a
+    baseline's recommend never load scipy; an hgrec recommend does."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(FIXTURE), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    assert loaded == {
+        "import": False,
+        "ingest": [0, False],
+        "stats --input": [0, False],
+        "stats --corpus": [0, False],
+        "evaluate baselines": [0, False],
+        "recommend revfinder": [0, False],
+        "recommend hgrec": [0, True],
+    }
