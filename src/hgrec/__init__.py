@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import HyperParams, RunConfig
-from .corpus import ReviewCorpus, clean, parse_export, reviewer_sets
+from .corpus import ReviewCorpus, clean, parse_export
 from .evaluation import RecommenderSpec, make_rounds, run_comparison
 from .hypergraph import Hypergraph, build, path_similarity
 from .recommender import HypergraphRecommender, Recommendation, TargetPR, recommend
@@ -25,7 +25,6 @@ __all__ = [
     "parse_export",
     "path_similarity",
     "recommend",
-    "reviewer_sets",
     "run_comparison",
     "wilcoxon_signed_rank",
 ]

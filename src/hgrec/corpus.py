@@ -581,11 +581,6 @@ def clean(
     return ReviewCorpus(prs=cleaned, t_start=min(stamps), t_end=max(stamps))
 
 
-def reviewer_sets(corpus: ReviewCorpus) -> dict[str, frozenset[str]]:
-    """PR id -> set of reviewer ids (distinct commenters minus contributor)."""
-    return {pr.id: pr.reviewers() for pr in corpus.prs}
-
-
 # ---------------------------------------------------------------------------
 # Canonical corpus artifact (the cached output of `hgrec ingest`).
 

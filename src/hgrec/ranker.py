@@ -28,12 +28,13 @@ of W. Every fit factors, so that is the one production solve.
 
 The fixed-point iteration f <- alpha * A @ f + y, which converges because
 alpha < 1 bounds the spectral radius of alpha * A, is kept as the tests'
-oracle: it reads the transition matrix of a system assembled unfactored.
+oracle. Its A is read off the S that the direct solve factors:
+A = (diag(Dv + isolated) - S) / (alpha * Dv) on live rows, zero rows at
+isolated vertices.
 
-scipy is imported where a system is first factored or assembled unfactored,
-not with this module: only a hypergraph fit needs it, and a process that
-never fits one (ingest, stats, the baselines) never loads it. No import runs
-on the per-query path.
+scipy is imported where a base system is assembled, not with this module:
+only a hypergraph fit needs it, and a process that never fits one (ingest,
+stats, the baselines) never loads it. No import runs on the per-query path.
 """
 
 from __future__ import annotations
@@ -59,16 +60,12 @@ _SPD_FACTOR = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 @dataclass
 class RankingSystem:
-    # K in vertex order, duplicate entries adding up: kept by a base system
-    # assembled unfactored (the iterative oracle and the lazy factor read
-    # it); None on a base assembled ``ordered`` and on an update.
-    kernel: sp.coo_matrix | None
     vertex_degree: np.ndarray
     alpha: float
     # S = Dv - alpha * K, identity rows at isolated vertices, in CSC, and its
     # SuperLU factor in a fill-reducing order: made when a base system is
-    # assembled ``ordered``, else at its first direct solve. The residual
-    # check of every direct solve multiplies by S.
+    # assembled, None on an update. The residual check of every direct solve
+    # multiplies by S.
     matrix: sp.csc_matrix | None = field(default=None, repr=False)
     factor: spla.SuperLU | None = field(default=None, repr=False)
     # An update of a factored base: S = blockdiag(S0, I) + U W U^T, with S0
@@ -77,7 +74,6 @@ class RankingSystem:
     base: RankingSystem | None = field(default=None, repr=False)
     touched: np.ndarray | None = None
     update: np.ndarray | None = field(default=None, repr=False)
-    _transition: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -115,13 +111,12 @@ def assemble(
     graph: Hypergraph,
     alpha: float,
     base: RankingSystem | None = None,
-    ordered: bool = False,
 ) -> RankingSystem:
-    """Kernel and degrees of a built hypergraph; with ``ordered``, also the
-    factor of its S in a fill-reducing order, which every direct solve of
-    the system and of its updates reads.
+    """Degrees, S and the factor of S in a fill-reducing order of a built
+    hypergraph: every direct solve of the system and of its updates reads
+    that factor.
 
-    With ``base``, a factored system, the system of an overlay ``graph`` on
+    With ``base``, a base system, the system of an overlay ``graph`` on
     the base's graph: its appended vertices and edges. Every appended edge
     is a pair holding an appended vertex, so the appended edges change S
     only on the vertices they reach, and only that change is kept, as an
@@ -133,25 +128,12 @@ def assemble(
         raise NoEdgesError("hypergraph has no edges")
     if (base is None) != (graph.base is None):
         raise ValueError("an overlay needs its base's system, and only an overlay")
-    if base is not None and base.factor is None:
-        raise ValueError("an overlay needs a factored base system")
 
     n_v = graph.n_vertices
     if base is None:
         degree, rows, cols, values = _edge_terms(graph.edges, n_v)
-        system = RankingSystem(None, degree, alpha)
-        if ordered:
-            # S and its factor are all a factored fit reads.
-            system.matrix = _system_matrix(
-                rows, cols, values, degree + system.isolated, alpha
-            )
-            _factor(system)
-        else:
-            import scipy.sparse as sp
-
-            system.kernel = sp.coo_matrix((values, (rows, cols)), shape=(n_v, n_v))
-            system.kernel.sum_duplicates()
-        return system
+        matrix = _system_matrix(rows, cols, values, degree + (degree <= 0.0), alpha)
+        return RankingSystem(degree, alpha, matrix=matrix, factor=_factor(matrix))
 
     # A pair's four kernel terms (u, u), (u, v), (v, u), (v, v) are each
     # weight / 2, in ``_edge_terms``' order.
@@ -182,20 +164,20 @@ def assemble(
     update.reshape(-1)[:: n_touched + 1] += (
         added + (degree[touched] <= 0.0) - before
     )
-    return RankingSystem(
-        None, degree, alpha, base=base, touched=touched, update=update
-    )
+    return RankingSystem(degree, alpha, base=base, touched=touched, update=update)
 
 
 def transition_matrix(system: RankingSystem) -> sp.csr_matrix:
-    """Vertex-to-vertex diffusion operator; memoized on the system."""
-    if system._transition is None:
-        import scipy.sparse as sp
+    """Vertex-to-vertex diffusion operator A of a base system, read off its S:
+    (diag(Dv + isolated) - S) / (alpha * Dv), zero rows at isolated vertices."""
+    import scipy.sparse as sp
 
-        inv_dv = np.zeros(system.n_vertices)
-        np.divide(1.0, system.vertex_degree, out=inv_dv, where=~system.isolated)
-        system._transition = (sp.diags(inv_dv) @ system.kernel).tocsr()
-    return system._transition
+    inv_dv = np.zeros(system.n_vertices)
+    np.divide(
+        1.0, system.alpha * system.vertex_degree, out=inv_dv, where=~system.isolated
+    )
+    kernel = sp.diags(system.vertex_degree + system.isolated) - system.matrix
+    return (sp.diags(inv_dv) @ kernel).tocsr()
 
 
 def _system_matrix(
@@ -242,29 +224,14 @@ def _system_matrix(
     return sp.csc_matrix((values[kept], rows[kept], indptr), shape=(n, n))
 
 
-def _factor(system: RankingSystem) -> spla.SuperLU:
-    """Factor of S in a minimum-degree order on S + S.T, made with S from
-    the system's kernel unless the system holds S; both memoized on the
-    system."""
-    if system.factor is None:
-        import scipy.sparse.linalg as spla
+def _factor(matrix: sp.csc_matrix) -> spla.SuperLU:
+    """Factor of S in a minimum-degree order on S + S.T."""
+    import scipy.sparse.linalg as spla
 
-        if system.matrix is None:
-            kernel = system.kernel
-            system.matrix = _system_matrix(
-                kernel.row,
-                kernel.col,
-                kernel.data,
-                system.vertex_degree + system.isolated,
-                system.alpha,
-            )
-        try:
-            system.factor = spla.splu(
-                system.matrix, permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR
-            )
-        except RuntimeError as exc:  # SuperLU reports a zero pivot this way
-            raise SolverError(f"direct solve failed: {exc}") from exc
-    return system.factor
+    try:
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR)
+    except RuntimeError as exc:  # SuperLU reports a zero pivot this way
+        raise SolverError(f"direct solve failed: {exc}") from exc
 
 
 def _product(system: RankingSystem, x: np.ndarray) -> np.ndarray:
@@ -321,7 +288,7 @@ def solve_direct(system: RankingSystem, query: np.ndarray) -> np.ndarray:
     query = np.asarray(query, dtype=np.float64)
     rhs = (system.vertex_degree + system.isolated) * query
     if system.base is None:
-        scores = _factor(system).solve(rhs)
+        scores = system.factor.solve(rhs)
     else:
         scores = _solve_update(system, rhs)
     if not np.all(np.isfinite(scores)):

@@ -70,7 +70,7 @@ def prepare(base: Hypergraph, corpus: ReviewCorpus, params: HyperParams) -> FitS
         raise HgrecError("params differ from the ones the base graph was built with")
     if base.pr_index is None:
         raise HgrecError("base graph carries no PR index; rebuild it from a corpus")
-    system = ranker.assemble(base, params.alpha, ordered=True)
+    system = ranker.assemble(base, params.alpha)
     return FitState(
         graph=base,
         system=system,

@@ -164,8 +164,7 @@ def test_base_system_is_ordered_at_assembly_and_rank_factors_once(monkeypatch):
     corpus = random_corpus(np.random.default_rng(4))
     params = HyperParams()
     graph = build(corpus, params)
-    assert ranker.assemble(graph, params.alpha).factor is None
-    assert ranker.assemble(graph, params.alpha, ordered=True).factor is not None
+    assert ranker.assemble(graph, params.alpha).factor is not None
     factored = []
     splu = spla.splu
     monkeypatch.setattr(
@@ -213,22 +212,22 @@ def test_repeated_queries_identical_and_leave_fit_state_unchanged():
 
 def assert_fit_matrix_is_the_sparse_chain(graph, alpha):
     """The S a factored fit keeps holds exactly the arrays of the scipy chain
-    diags(Dv + isolated) - alpha * K, then to CSC."""
-    unfactored = ranker.assemble(graph, alpha)
-    chain = (
-        sp.diags(unfactored.vertex_degree + unfactored.isolated)
-        - alpha * unfactored.kernel
-    ).tocsc()
-    fitted = ranker.assemble(graph, alpha, ordered=True)
-    assert fitted.kernel is None  # a factored fit reads S, not K
-    np.testing.assert_array_equal(fitted.vertex_degree, unfactored.vertex_degree)
+    diags(Dv + isolated) - alpha * K, then to CSC, K the kernel terms in a
+    summed ``coo_matrix``. Returns K and the fitted system."""
+    n = graph.n_vertices
+    degree, rows, cols, values = ranker._edge_terms(graph.edges, n)
+    kernel = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
+    kernel.sum_duplicates()
+    chain = (sp.diags(degree + (degree <= 0.0)) - alpha * kernel).tocsc()
+    fitted = ranker.assemble(graph, alpha)
+    np.testing.assert_array_equal(fitted.vertex_degree, degree)
     for ours, theirs in (
         (fitted.matrix.indptr, chain.indptr),
         (fitted.matrix.indices, chain.indices),
         (fitted.matrix.data, chain.data),
     ):
         assert np.array_equal(ours, theirs)
-    return unfactored, fitted
+    return kernel, fitted
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 0.9])
@@ -260,8 +259,8 @@ def test_fit_matrix_drops_zero_kernel_entries_and_keeps_isolated_rows():
             (EdgeKind.PR_PR, (1, 2), 0.0),
         ],
     )
-    unfactored, fitted = assert_fit_matrix_is_the_sparse_chain(graph, 0.9)
-    assert (unfactored.kernel.data == 0.0).any()
+    kernel, fitted = assert_fit_matrix_is_the_sparse_chain(graph, 0.9)
+    assert (kernel.data == 0.0).any()
     assert fitted.isolated.tolist() == [False, False, True, True]
     assert (fitted.matrix.data != 0.0).all()
     np.testing.assert_array_equal(fitted.matrix.diagonal()[2:], 1.0)
@@ -284,7 +283,7 @@ def test_fit_matrix_sums_a_long_run_of_terms_like_the_sparse_chain():
     for term in run:
         in_sequence += term
     assert len(run) >= 9 and in_sequence != np.add.reduceat(run, [0])[0]
-    unfactored, fitted = assert_fit_matrix_is_the_sparse_chain(graph, 0.9)
+    _, fitted = assert_fit_matrix_is_the_sparse_chain(graph, 0.9)
     assert fitted.isolated.tolist() == [False] * 13 + [True]
     assert fitted.matrix[13, 13] == 1.0
 

@@ -15,7 +15,6 @@ from hgrec.corpus import (
     parse_export,
     parse_target,
     parse_timestamp,
-    reviewer_sets,
 )
 from hgrec.errors import EmptyCorpusError, ExportParseError, HgrecError
 from hgrec.hypergraph import path_similarity
@@ -208,9 +207,8 @@ class TestClean:
             make_pr("p2", "a", T0 + DAY, ["f"], comments=[("twice", T0 + DAY + 1)]),
         ]
         corpus = clean(raw, min_reviews=2)
-        sets = reviewer_sets(corpus)
-        assert sets["p1"] == {"twice"}
-        assert sets["p2"] == {"twice"}
+        sets = {pr.id: pr.reviewers() for pr in corpus.prs}
+        assert sets == {"p1": {"twice"}, "p2": {"twice"}}
 
     def test_bot_comments_removed(self):
         raw = [
@@ -290,18 +288,18 @@ class TestReviewerSets:
                      comments=[("b", T0 + 1), ("c", T0 + 2), ("b", T0 + 3)])],
             min_reviews=1,
         )
-        assert reviewer_sets(corpus)["p"] == {"b", "c"}
+        assert corpus.prs[0].reviewers() == {"b", "c"}
 
     def test_self_comments_excluded(self):
         corpus = clean(
             [make_pr("p", "a", T0, ["f"], comments=[("a", T0 + 1)])],
             min_reviews=1,
         )
-        assert reviewer_sets(corpus)["p"] == frozenset()
+        assert corpus.prs[0].reviewers() == frozenset()
 
     def test_no_comments(self):
         corpus = clean([make_pr("p", "a", T0, ["f"])], min_reviews=1)
-        assert reviewer_sets(corpus)["p"] == frozenset()
+        assert corpus.prs[0].reviewers() == frozenset()
 
 
 class TestSlices:

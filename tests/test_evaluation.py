@@ -1,6 +1,8 @@
 """Evaluation protocol: rounds, metrics, and the comparison bench."""
 
 import hashlib
+import io
+import json
 import math
 import random
 
@@ -8,7 +10,7 @@ import pytest
 
 from hgrec import kernels
 from hgrec.cli import main
-from hgrec.corpus import ReviewCorpus, parse_timestamp
+from hgrec.corpus import ReviewCorpus, TargetPR, clean, parse_export, parse_timestamp
 from hgrec.errors import CorpusSpanError, UndefinedMetricError
 from hgrec.evaluation import (
     PRRecord,
@@ -396,6 +398,35 @@ def test_benchmark_backtest_report_is_pinned(tmp_path):
     ]) == 0
     assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == (
         "8ea8db43c16b71e169c3c59f7a6e14e7f65efb1b96b63d215b6c2348085035d9"
+    )
+
+
+def test_benchmark_serve_lists_are_pinned():
+    """The seed-1 serve workload's three fits, asked ``recommend(target, 5)``
+    for their held-out PRs round-robin, give the ranked lists whose sha256
+    the benchmark fingerprints."""
+    synth = load_synth()
+    shape = synth.Shape(prs=400, months=36, files_per_area=120, depth=4, held_out=100)
+    fits, targets = [], []
+    for r in range(3):
+        records, held_out = synth.generate(shape, f"1/{r}")
+        corpus = clean(parse_export(io.StringIO(synth.to_jsonl(records))))
+        fits.append(HypergraphRecommender().fit(corpus))
+        targets.append([
+            TargetPR(
+                rec["id"], rec["contributor"], parse_timestamp(rec["created_at"]),
+                tuple(rec["files"]),
+            )
+            for rec in held_out
+        ])
+    lists = [
+        [r, targets[r][i].id, fits[r].recommend(targets[r][i], 5).ids()]
+        for i in range(max(map(len, targets)))
+        for r in range(3)
+        if i < len(targets[r])
+    ]
+    assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == (
+        "81d6dfa073c620adac90390ec4c5b5b75fa7c4bcd7eaafed300a52ce5871e609"
     )
 
 

@@ -10,6 +10,8 @@ from hgrec.errors import ConfigError, ConvergenceError, NoEdgesError, SolverErro
 from hgrec.hypergraph import EdgeKind
 from hgrec.ranker import (
     RankingSystem,
+    _factor,
+    _system_matrix,
     assemble,
     solve,
     solve_direct,
@@ -26,10 +28,13 @@ def two_vertex_graph(weight=0.5):
 
 class TestAssemble:
     def test_single_edge_degrees(self):
-        # K = H W De^-1 H^T: the edge degree 2 halves the weight everywhere
+        # K = H W De^-1 H^T: the edge degree 2 halves the weight everywhere;
+        # S = Dv - alpha * K
         system = assemble(two_vertex_graph(0.5), alpha=0.5)
         np.testing.assert_allclose(system.vertex_degree, [0.5, 0.5])
-        np.testing.assert_allclose(system.kernel.toarray(), [[0.25, 0.25]] * 2)
+        np.testing.assert_allclose(
+            system.matrix.toarray(), np.diag([0.5, 0.5]) - 0.5 * np.full((2, 2), 0.25)
+        )
 
     def test_vertex_degree_sums_edge_weights(self):
         graph = make_graph(
@@ -45,7 +50,9 @@ class TestAssemble:
     def test_reviewer_edge_degree_is_member_count(self):
         graph = make_graph(4, [(EdgeKind.PR_REVIEWER, (0, 1, 2, 3), 1.0)])
         system = assemble(graph, alpha=0.9)
-        np.testing.assert_allclose(system.kernel.toarray(), np.full((4, 4), 0.25))
+        np.testing.assert_allclose(
+            system.matrix.toarray(), np.eye(4) - 0.9 * np.full((4, 4), 0.25)
+        )
 
     def test_no_edges_rejected(self):
         with pytest.raises(NoEdgesError):
@@ -162,16 +169,24 @@ class TestSolveDirect:
         # unpivoted factorization then loses every digit of the solution.
         n = 3
         kernel = sp.coo_matrix(-(np.ones((n, n)) - np.eye(n)) / 0.9)
-        system = RankingSystem(kernel, np.full(n, 1e-16), alpha=0.9)
+        matrix = _system_matrix(
+            kernel.row, kernel.col, kernel.data, np.full(n, 1e-16), 0.9
+        )
+        system = RankingSystem(
+            np.full(n, 1e-16), alpha=0.9, matrix=matrix, factor=_factor(matrix)
+        )
         with pytest.raises(SolverError, match="residual"):
             solve_direct(system, np.array([1e16, 2e16, 3e16]))
 
     def test_singular_update_rejected(self):
         # S0 = I (one isolated vertex); W = -1 makes the updated S zero
-        base = RankingSystem(sp.coo_matrix((1, 1)), np.zeros(1), alpha=0.9)
-        solve_direct(base, np.ones(1))  # factors S0
+        none = np.zeros(0, dtype=np.int64)
+        matrix = _system_matrix(none, none, np.zeros(0), np.ones(1), 0.9)
+        base = RankingSystem(
+            np.zeros(1), alpha=0.9, matrix=matrix, factor=_factor(matrix)
+        )
         update = RankingSystem(
-            None, np.zeros(1), alpha=0.9, base=base,
+            np.zeros(1), alpha=0.9, base=base,
             touched=np.array([0]), update=np.array([[-1.0]]),
         )
         with pytest.raises(SolverError, match="failed"):
@@ -222,11 +237,11 @@ class TestSolveIterative:
 
 
 class TestSolve:
-    """``solve``, the one production entry point, on ordered systems: the
-    ones a fit assembles."""
+    """``solve``, the one production entry point, on systems factored in a
+    fill-reducing order at assembly, as a fit's are."""
 
     def test_ordered_two_vertex_closed_form(self):
-        system = assemble(two_vertex_graph(), alpha=0.5, ordered=True)
+        system = assemble(two_vertex_graph(), alpha=0.5)
         assert system.factor is not None
         np.testing.assert_allclose(
             solve(system, np.array([1.0, 0.0])), [1.5, 0.5], atol=1e-12
@@ -238,6 +253,7 @@ class TestSolve:
             graph = random_hypergraph(rng, max_vertices=80)
             query = np.zeros(graph.n_vertices)
             query[int(rng.integers(graph.n_vertices))] = 1.0
-            scores = solve(assemble(graph, alpha=0.9, ordered=True), query)
-            oracle = solve_iterative(assemble(graph, alpha=0.9), query, tol=1e-12)
+            system = assemble(graph, alpha=0.9)
+            scores = solve(system, query)
+            oracle = solve_iterative(system, query, tol=1e-12)
             assert np.max(np.abs(scores - oracle)) < 1e-9

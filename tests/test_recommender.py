@@ -113,9 +113,6 @@ class TestGraft:
             ranker.assemble(grafted, params.alpha)
         with pytest.raises(ValueError, match="overlay"):
             ranker.assemble(base, params.alpha, base=state.system)
-        # an overlay updates a factored base only
-        with pytest.raises(ValueError, match="overlay"):
-            ranker.assemble(grafted, params.alpha, base=ranker.assemble(base, params.alpha))
 
     def test_future_target_extends_bounds(self):
         corpus = small_corpus()
