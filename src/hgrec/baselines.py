@@ -8,8 +8,8 @@ only from the fields this corpus carries; the evaluation labels them with an
                window of the training period.
   RevFinder-s  file-path similarity: reviewers of past PRs accrue the mean
                path similarity between that PR's files and the target's,
-               read through the corpus's memoized file pack and reviewer
-               incidence, so a query pays for one kernel row and one sum.
+               read through the corpus's memoized file pack and review
+               table, so a query pays for one kernel row and one sum.
   cHRev-s      per-file review expertise: comment share plus recency over
                the target's files.
   CN-s         comment network: decayed interaction strength between each
@@ -18,7 +18,8 @@ only from the fields this corpus carries; the evaluation labels them with an
 All four are pure functions of (training corpus, target, k) and rank their
 scores with ``recommender.rank_developers``, hgrec's own rule: the target's
 contributor is excluded and score ties are broken by historical comment count
-(more first) then lexicographic id.
+(more first) then lexicographic id. The counts, and RevFinder-s's reviewer
+pairs, come from the corpus's review table; the other three loop over its PRs.
 """
 
 from __future__ import annotations
@@ -63,25 +64,27 @@ def revfinder_recommend(
     """Accrue each past PR's mean path similarity to its reviewers.
 
     The means are one kernel row against ``corpus.file_pack()``. The
-    accrual is one ``np.bincount`` over ``corpus.reviewer_incidence()``,
-    which the first query on a corpus builds; a reviewer whose PRs all
-    score 0 is listed with 0.0."""
+    accrual is one ``np.bincount`` over the review table's (PR, reviewer)
+    pairs; a reviewer whose PRs all score 0 is listed with 0.0, and one who
+    reviewed no PR of the corpus is not listed."""
     if not target.files:
         raise HgrecError(f"target PR {target.id!r} has no files")
-    ids, pr_at, reviewer_at = corpus.reviewer_incidence()
+    table = corpus.review_table()
+    pr_at, reviewer_at = table.reviews.pr, table.reviews.reviewer
+    reviewed = np.bincount(reviewer_at, minlength=len(table.names)) > 0
     scores: list[float] = []
-    if corpus.prs:
+    if reviewer_at.size:
         pack = corpus.file_pack()
         t_tokens, t_off = pack.pack_one(target.files)
         means = kernels.mean_similarity_row(
             t_tokens, t_off, pack.tokens, pack.file_off, pack.set_off,
             grouping=pack.grouping(),
         )
-        # bincount adds in input order from 0.0, so each reviewer's sum runs
-        # over their PRs in corpus order, as a loop over the PRs would.
-        scores = np.bincount(
-            reviewer_at, weights=means[pr_at], minlength=len(ids)
-        ).tolist()
+        # bincount adds in input order from 0.0 and pairs ascend by PR, so
+        # each reviewer's sum runs over their PRs in corpus order.
+        sums = np.bincount(reviewer_at, means[pr_at], minlength=len(table.names))
+        scores = sums[reviewed].tolist()
+    ids = table.names[reviewed].tolist()
     return rank_developers(zip(ids, scores), corpus.comment_counts(), target, k)
 
 

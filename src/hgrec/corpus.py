@@ -27,9 +27,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -88,9 +89,22 @@ class TargetPR:
         object.__setattr__(self, "files", tuple(sorted(set(self.files))))
 
 
+class ReviewPairs(NamedTuple):
+    """Who reviewed what in a ``ReviewTable``. Per distinct (PR position,
+    reviewer code) pair, ascending: ``pr`` and ``reviewer``. Per review
+    comment, grouped by pair in that order and each pair's in comment order:
+    its table position (``comments``) and its pair's index (``pair``)."""
+
+    pr: np.ndarray
+    reviewer: np.ndarray
+    comments: np.ndarray
+    pair: np.ndarray
+
+
 @dataclass(frozen=True)
 class ReviewTable:
-    """A corpus's PRs and comments as flat arrays, in corpus order.
+    """A corpus's PRs and comments as flat, read-only arrays, in corpus
+    order; the only source of its comment counts and reviewer pairs.
 
     Per PR: its id, its contributor's code, its creation time and its
     chronology rank (its place when the PRs are sorted by creation time,
@@ -108,6 +122,10 @@ class ReviewTable:
     comment_pr: np.ndarray
     author: np.ndarray
     comment_time: np.ndarray
+
+    def __post_init__(self):
+        for part in vars(self).values():
+            part.flags.writeable = False
 
     def take(self, positions: np.ndarray, cut: int) -> "ReviewTable":
         """The table of the PRs at ``positions`` (ascending) and of their
@@ -131,6 +149,23 @@ class ReviewTable:
             comment_time=self.comment_time[kept],
         )
 
+    @cached_property
+    def reviews(self) -> ReviewPairs:
+        """The table's ``ReviewPairs``, computed on first use from its comments
+        by anyone but the PR's contributor, sorted stably by PR, then author."""
+        review = np.flatnonzero(self.author != self.contributor[self.comment_pr])
+        n_names = len(self.names)
+        key = self.comment_pr[review] * n_names + self.author[review]
+        order = np.argsort(key, kind="stable")
+        review, key = review[order], key[order]
+        fresh = np.ones(len(key), dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
+        pr, reviewer = np.divmod(key[fresh], n_names)
+        pairs = ReviewPairs(pr, reviewer, review, np.cumsum(fresh) - 1)
+        for part in pairs:
+            part.flags.writeable = False
+        return pairs
+
 
 @dataclass
 class ReviewCorpus:
@@ -140,30 +175,25 @@ class ReviewCorpus:
     equal the min/max observed timestamp; windowed slices carry the window
     cut as ``t_end`` instead.
 
-    A corpus and every ``slice_until`` descendant share one similarity store
-    and one review table, held by the root: ``_positions`` maps a slice's
-    PRs to the root's, and ``_comment_cut`` is the earliest cut of the
-    slices between it and the root, before which its comments were made.
+    A corpus and every ``slice_until`` descendant share one similarity store,
+    held by the root: ``_positions`` maps a slice's PRs to the root's, and
+    ``_comment_cut`` is the earliest cut of the slices between it and the
+    root, before which its comments were made. Each corpus keeps its own
+    ``review_table``, a slice's taken from the root's.
     """
 
     prs: list[PullRequest]
     t_start: int
     t_end: int
-    # Filled by comment_counts(), or by hypergraph.build from the review table.
     _comment_counts: dict[str, int] | None = field(
         default=None, repr=False, compare=False
     )
     _file_pack: kernels.FilePack | None = field(
         default=None, repr=False, compare=False
     )
-    _reviewer_incidence: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = (
-        field(default=None, repr=False, compare=False)
-    )
     _root: "ReviewCorpus | None" = field(default=None, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
     _comment_cut: int | None = field(default=None, repr=False, compare=False)
-    # The root's review table (read-only), made by its or a slice's first
-    # review_table().
     _review_table: ReviewTable | None = field(
         default=None, repr=False, compare=False
     )
@@ -185,13 +215,15 @@ class ReviewCorpus:
         return frozenset(pr.contributor for pr in self.prs)
 
     def comment_counts(self) -> dict[str, int]:
-        """Total comments per author; memoized (corpus is immutable)."""
+        """Total comments per author, counted in the review table; memoized
+        (corpus is immutable)."""
         if self._comment_counts is None:
-            counts: dict[str, int] = {}
-            for pr in self.prs:
-                for c in pr.comments:
-                    counts[c.author] = counts.get(c.author, 0) + 1
-            self._comment_counts = counts
+            table = self.review_table()
+            counts = np.bincount(table.author, minlength=len(table.names))
+            authors = np.flatnonzero(counts)
+            self._comment_counts = dict(
+                zip(table.names[authors].tolist(), counts[authors].tolist())
+            )
         return self._comment_counts
 
     def file_pack(self) -> kernels.FilePack:
@@ -206,31 +238,19 @@ class ReviewCorpus:
             self._file_pack = pack
         return self._file_pack
 
-    def reviewer_incidence(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """Who reviewed which PR: the reviewer ids in first-seen order, and
-        one (PR position, reviewer position) intp entry per PR and distinct
-        reviewer, in corpus order; memoized. A slice builds its own, since
-        its PRs' comments are truncated at its cut."""
-        if self._reviewer_incidence is None:
-            self._reviewer_incidence = _build_reviewer_incidence(self.prs)
-        return self._reviewer_incidence
-
     def review_table(self) -> ReviewTable:
-        """This corpus's PRs and comments as a ``ReviewTable``.
-
-        The root's table is made on first use and kept, read-only, where the
-        root and every slice read it; a slice's is the root's taken at its
-        PRs and at the comments before its cut. Concurrent first reads build
-        twice, and the root keeps either. ``slice_until`` makes none, so a
-        corpus that is never built from, as by the baselines, has none.
-        """
-        root = self._root or self
-        table = root._review_table
-        if table is None:
-            table = root._review_table = _build_review_table(root.prs)
-        if self._positions is None:
-            return table
-        return table.take(self._positions, self._comment_cut)
+        """This corpus's PRs and comments as a ``ReviewTable``; memoized. The
+        root builds its table from its PRs; a slice takes the root's at its
+        PRs and at the comments before its cut, once."""
+        if self._review_table is None:
+            if self._root is None:
+                table = _build_review_table(self.prs)
+            else:
+                table = self._root.review_table().take(
+                    self._positions, self._comment_cut
+                )
+            self._review_table = table
+        return self._review_table
 
     def similarity_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positive entries of ``kernels.mean_similarity_entries`` of this
@@ -241,9 +261,8 @@ class ReviewCorpus:
         slice's sweep is kept, read-only, in the root's store, where the
         root and every slice read it. An entry depends only on the two file
         sets, so the root's entries read at a slice's PRs are exactly the
-        slice's own. Concurrent first reads sweep twice, and the store keeps
-        either. A root that is never sliced keeps nothing: built once per
-        fit, it would never read its sweep again.
+        slice's own. A root that is never sliced keeps nothing: built once
+        per fit, it would never read its sweep again.
         """
         root = self._root or self
         sweep = root._similarity
@@ -306,7 +325,7 @@ def _build_review_table(prs: list[PullRequest]) -> ReviewTable:
     order = sorted(range(len(prs)), key=lambda i: (prs[i].created_at, prs[i].id))
     chronology = np.empty(len(prs), dtype=np.int64)
     chronology[order] = np.arange(len(prs))
-    table = ReviewTable(
+    return ReviewTable(
         ids=np.array([pr.id for pr in prs], dtype=object),
         names=np.array(names, dtype=object),
         contributor=np.fromiter(
@@ -322,27 +341,6 @@ def _build_review_table(prs: list[PullRequest]) -> ReviewTable:
             (c.created_at for pr in prs for c in pr.comments), np.int64, total
         ),
     )
-    for part in vars(table).values():
-        part.flags.writeable = False
-    return table
-
-
-def _build_reviewer_incidence(
-    prs: list[PullRequest],
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    index: dict[str, int] = {}
-    pr_at: list[int] = []
-    reviewer_at: list[int] = []
-    for i, pr in enumerate(prs):
-        for reviewer in dict.fromkeys(
-            c.author for c in pr.comments if c.author != pr.contributor
-        ):
-            pr_at.append(i)
-            reviewer_at.append(index.setdefault(reviewer, len(index)))
-    arrays = (np.array(pr_at, dtype=np.intp), np.array(reviewer_at, dtype=np.intp))
-    for part in arrays:
-        part.flags.writeable = False
-    return tuple(index), *arrays
 
 
 def parse_timestamp(text: str) -> int:
@@ -630,9 +628,10 @@ def _epoch_seconds(value: object) -> int:
 
 def corpus_from_json(text: str | bytes) -> ReviewCorpus:
     """Load a corpus artifact, checking every PR with the export's field rules
-    (times as integers) and rejecting a repeated PR id, as ``clean`` does;
-    keys it does not read, such as the ``developers`` list of older
-    artifacts, are ignored."""
+    (times as integers) and rejecting what ``clean`` never writes: a repeated
+    PR id, no PRs, and bounds that leave out a PR or comment time; keys it
+    does not read, such as the ``developers`` list of older artifacts, are
+    ignored."""
     try:
         payload = _load_json(text)
         if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
@@ -659,7 +658,15 @@ def corpus_from_json(text: str | bytes) -> ReviewCorpus:
                 first_at[pr_id] = i
             except ValueError as exc:
                 raise ValueError(f"pr {i}: {exc}") from exc
-        return ReviewCorpus(prs=prs, t_start=payload["t_start"], t_end=payload["t_end"])
+        if not prs:
+            raise ValueError("prs must name at least one PR")
+        times = [pr.created_at for pr in prs]
+        times += [c.created_at for pr in prs for c in pr.comments]
+        bounds = payload["t_start"], payload["t_end"]
+        extent = min(times), max(times)
+        if not (bounds[0] <= extent[0] and extent[1] <= bounds[1]):
+            raise ValueError(f"bounds {bounds} leave out PR or comment times {extent}")
+        return ReviewCorpus(prs, *bounds)
     except KeyError as exc:
         raise HgrecError(f"corpus artifact: missing field {exc}") from exc
     except ValueError as exc:

@@ -372,8 +372,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     ``corpus_from_json`` ensure. Edges follow the same order (each PR's
     contributor edge, then its reviewer edge), then the pr_pr edges sorted by
     PR pair. Every step is an array operation over the corpus's
-    ``review_table``; counting each author's comments there also leaves the
-    corpus's ``comment_counts``.
+    ``review_table``, whose ``reviews`` give the reviewer edges.
     """
     if not corpus.prs:
         raise EmptyCorpusError("cannot build a hypergraph from an empty corpus")
@@ -383,24 +382,7 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     n_names = len(table.names)
     t_start, t_end = corpus.t_start, corpus.t_end
     span = _span(t_start, t_end)
-    counts = np.bincount(table.author, minlength=n_names)
-    authors = np.flatnonzero(counts)
-    corpus._comment_counts = dict(
-        zip(table.names[authors].tolist(), counts[authors].tolist())
-    )
-
-    # Review comments (by anyone but the PR's contributor) sorted by PR, then
-    # reviewer code, each reviewer's in comment order; each run is one of
-    # the distinct (PR, reviewer) pairs, which ascend.
-    review = np.flatnonzero(table.author != table.contributor[table.comment_pr])
-    key = table.comment_pr[review] * n_names + table.author[review]
-    order = np.argsort(key, kind="stable")
-    review, key = review[order], key[order]
-    fresh = np.ones(len(key), dtype=bool)
-    fresh[1:] = key[1:] != key[:-1]
-    first = np.flatnonzero(fresh)
-    run = np.cumsum(fresh) - 1
-    pair_pr, pair_dev = np.divmod(key[first], n_names)
+    pair_pr, pair_dev, review, run = table.reviews
 
     # Vertex numbering: a stream of each PR, its contributor, then its
     # reviewers, where a PR and each developer's first appearance take the
@@ -436,7 +418,8 @@ def build(corpus: ReviewCorpus, params: HyperParams) -> Hypergraph:
     entry_edge = np.concatenate((np.arange(len(reviewed)), pair_edge))
     entry_v = np.concatenate((pr_v[reviewed], vertex_of[pair_dev]))
     reviewer_members = entry_v[np.argsort(entry_edge * (n_names + n) + entry_v)]
-    depth = np.arange(len(key)) - first[run]
+    # A comment's place among its reviewer's on the PR: runs ascend.
+    depth = np.arange(len(run)) - np.searchsorted(run, run)
     decay = params.comment_decay
     terms = np.array(
         [decay**j for j in range(int(depth.max(initial=-1)) + 1)], dtype=np.float64

@@ -80,8 +80,7 @@ class FilePack:
 
     def grouping(self) -> FirstTokenGrouping:
         """This pack's files grouped by first token, made on first use: a
-        pack's arrays never change once made. Concurrent first uses group
-        twice, and the pack keeps either."""
+        pack's arrays never change once made."""
         if self._grouping is None:
             self._grouping = FirstTokenGrouping.of(
                 self.tokens, self.file_off, self.set_off

@@ -130,12 +130,17 @@ class TestRevfinder:
             hgrec.recommend(target("cy", files), 2)
         assert packed == [3]
 
-    def test_incidence_built_once_per_corpus(self, monkeypatch):
-        built = []
-        build = corpus_module._build_reviewer_incidence
+    def test_review_pairs_computed_once_per_corpus(self, monkeypatch):
+        built, taken = [], []
+        build = corpus_module._build_review_table
         monkeypatch.setattr(
-            corpus_module, "_build_reviewer_incidence",
+            corpus_module, "_build_review_table",
             lambda prs: built.append(len(prs)) or build(prs),
+        )
+        take = corpus_module.ReviewTable.take
+        monkeypatch.setattr(
+            corpus_module.ReviewTable, "take",
+            lambda table, at, cut: taken.append(len(at)) or take(table, at, cut),
         )
         corpus = make_corpus([
             make_pr("p1", "ann", T0, ["src/a.c"], comments=[("rex", T0 + DAY)]),
@@ -147,13 +152,15 @@ class TestRevfinder:
         assert built == []
         for files in (["src/a.c"], ["src/b.c", "lib/c.c"], ["docs/x.md"]):
             revfinder.recommend(target("cy", files), 2)
-        assert built == [3]
+        assert built == [3] and taken == []
+        assert corpus.review_table().reviews is corpus.review_table().reviews
         window = corpus.slice_until(T0 + 2 * DAY)
         revfinder_recommend(window, target("cy"), 2)
         revfinder_recommend(window, target("cy"), 2)
-        assert built == [3, 2]
+        assert built == [3] and taken == [2]
+        assert window.review_table().reviews is window.review_table().reviews
 
-    def test_incidence_entries(self):
+    def test_review_pairs_entries(self):
         corpus = make_corpus([
             make_pr("p1", "ann", T0, ["src/a.c"],
                     comments=[("rex", T0 + 1), ("ann", T0 + 2), ("rex", T0 + 3)]),
@@ -161,11 +168,14 @@ class TestRevfinder:
             make_pr("p3", "bo", T0 + 2 * DAY, ["src/a.c"],
                     comments=[("sue", T0 + 2 * DAY), ("rex", T0 + 3 * DAY)]),
         ])
-        ids, pr_at, reviewer_at = corpus.reviewer_incidence()
-        assert ids == ("rex", "sue")
-        assert pr_at.tolist() == [0, 2, 2] and reviewer_at.tolist() == [0, 1, 0]
-        assert pr_at.dtype == reviewer_at.dtype == np.intp
-        assert corpus.reviewer_incidence() is corpus.reviewer_incidence()
+        table = corpus.review_table()
+        pairs = table.reviews
+        assert table.names.tolist() == ["ann", "bo", "rex", "sue"]
+        assert pairs.pr.tolist() == [0, 2, 2] and pairs.reviewer.tolist() == [2, 2, 3]
+        assert pairs.comments.tolist() == [0, 2, 4, 3]
+        assert pairs.pair.tolist() == [0, 0, 1, 2]
+        assert all(part.dtype == np.intp for part in pairs)
+        assert not any(part.flags.writeable for part in pairs)
 
     def test_window_credits_only_comments_before_its_cut(self):
         cut = T0 + 5 * DAY
@@ -176,9 +186,11 @@ class TestRevfinder:
                     comments=[("ted", cut + 3 * DAY)]),
         ])
         window = corpus.slice_until(cut)
-        assert window.reviewer_incidence()[0] == ("rex",)
-        assert window.reviewer_incidence() is not corpus.reviewer_incidence()
-        assert corpus.reviewer_incidence()[0] == ("rex", "sue", "ted")
+        names = corpus.review_table().names
+        assert names[window.review_table().reviews.reviewer].tolist() == ["rex"]
+        assert names[corpus.review_table().reviews.reviewer].tolist() == [
+            "rex", "sue", "ted", "ted"
+        ]
         result = revfinder_recommend(window, target("cy", ["src/a.c"]), k=5)
         assert result.candidates == [("rex", 1.0)]
 
@@ -187,8 +199,8 @@ class TestRevfinder:
             make_pr("p1", "ann", T0, ["src/a.c"], comments=[("ann", T0 + DAY)]),
             make_pr("p2", "bo", T0 + DAY, ["src/a.c"]),
         ])
-        ids, pr_at, reviewer_at = corpus.reviewer_incidence()
-        assert ids == () and pr_at.size == reviewer_at.size == 0
+        assert not any(part.size for part in corpus.review_table().reviews)
+        # Contributors who reviewed nothing are not listed with 0.0.
         result = revfinder_recommend(corpus, target("cy", ["src/a.c"]), k=3)
         assert result.candidates == []
 

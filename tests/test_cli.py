@@ -322,9 +322,15 @@ class TestStats:
             (json.dumps({**artifact(), "t_end": "2020"}), "bad t_end"),
             (json.dumps(artifact(files="src/a.c")), "pr 0: files"),
             (json.dumps({**artifact(), "prs": artifact()["prs"] * 2}), "pr 1: duplicate id"),
+            (json.dumps({**artifact(), "prs": []}), "prs must name at least one PR"),
+            (json.dumps({**artifact(), "t_end": 1_599_999_999}),
+             "bounds (1600000000, 1599999999) leave out PR or comment times"),
+            (json.dumps(artifact(comments=[{"author": "bo", "created_at": 1_600_000_001}])),
+             "bounds (1600000000, 1600000000) leave out PR or comment times "
+             "(1600000000, 1600000001)"),
         ],
         ids=["not-json", "no-prs", "created-at-string", "t-end-string", "files-string",
-             "id-repeated"],
+             "id-repeated", "prs-empty", "t-end-before-t-start", "comment-after-t-end"],
     )
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, text, field):
         path = tmp_path / "corpus.json"
@@ -749,3 +755,21 @@ def test_only_a_hypergraph_fit_imports_scipy(tmp_path):
         "recommend revfinder": [0, False],
         "recommend hgrec": [0, True],
     }
+
+
+def test_python_m_hgrec_runs_the_cli(capsys):
+    """`python -m hgrec` prints what the `hgrec` entry point prints."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    argv = ["stats", "--input", "tests/data/review_history_50pr.jsonl"]
+    child = subprocess.run(
+        [sys.executable, "-m", "hgrec", *argv],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert main([argv[0], argv[1], str(FIXTURE)]) == 0
+    assert child.stdout == capsys.readouterr().out

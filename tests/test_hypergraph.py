@@ -668,7 +668,6 @@ class TestArrayBuild:
         for name in ("ac", "revfinder", "chrev", "cn"):
             for window in windows:
                 create_recommender(name).fit(window).recommend(target, 3)
-        assert built == []
         for window in windows:
             build(window, HyperParams())
         build(root, HyperParams())
@@ -676,6 +675,50 @@ class TestArrayBuild:
         other = _corpus_of(list(root.prs))
         build(other.slice_until(cuts[1]), HyperParams())
         assert built == [30, 30]
+
+
+class TestReviewTable:
+    """A corpus's review table, read at the root, its windows and windows of
+    those, gives what a loop over the corpus's (truncated) PRs gives."""
+
+    @staticmethod
+    def assert_matches_the_prs(corpus):
+        table = corpus.review_table()
+        counts = {}
+        for pr in corpus.prs:
+            for c in pr.comments:
+                counts[c.author] = counts.get(c.author, 0) + 1
+        assert corpus.comment_counts() == counts
+        pairs = table.reviews
+        expected = [(pr, r) for pr in corpus.prs for r in sorted(pr.reviewers())]
+        ids, names = table.ids.tolist(), table.names.tolist()
+        assert [
+            (ids[i], names[r]) for i, r in zip(pairs.pr.tolist(), pairs.reviewer.tolist())
+        ] == [(pr.id, r) for pr, r in expected]
+        # Each pair's comments, in the PR's comment order.
+        comments = [
+            (p, (pr.id, r, c.created_at))
+            for p, (pr, r) in enumerate(expected)
+            for c in pr.comments
+            if c.author == r
+        ]
+        assert [
+            (p, (ids[table.comment_pr[i]], names[table.author[i]], table.comment_time[i]))
+            for p, i in zip(pairs.pair.tolist(), pairs.comments.tolist())
+        ] == comments
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_and_pairs_equal_a_loop_over_the_prs(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        prs = _review_history(rng, int(rng.integers(8, 40)))
+        by_time = sorted(prs, key=lambda pr: pr.created_at)
+        for root in (_corpus_of(by_time), _corpus_of(prs)):  # prs: shuffled
+            self.assert_matches_the_prs(root)
+            cuts = sorted({pr.created_at for pr in prs})
+            for cut in cuts[1:: max(1, len(cuts) // 4)]:
+                window = root.slice_until(cut)
+                self.assert_matches_the_prs(window)
+                self.assert_matches_the_prs(window.slice_until(cut - 5 * DAY))
 
 
 # ---------------------------------------------------------------------------
