@@ -71,7 +71,7 @@ def revfinder_recommend(
         raise HgrecError(f"target PR {target.id!r} has no files")
     table = corpus.review_table()
     pr_at, reviewer_at = table.reviews.pr, table.reviews.reviewer
-    reviewed = np.bincount(reviewer_at, minlength=len(table.names)) > 0
+    reviewed, ids = table.reviewed
     scores: list[float] = []
     if reviewer_at.size:
         pack = corpus.file_pack()
@@ -84,7 +84,6 @@ def revfinder_recommend(
         # each reviewer's sum runs over their PRs in corpus order.
         sums = np.bincount(reviewer_at, means[pr_at], minlength=len(table.names))
         scores = sums[reviewed].tolist()
-    ids = table.names[reviewed].tolist()
     return rank_developers(zip(ids, scores), corpus.comment_counts(), target, k)
 
 

@@ -166,6 +166,15 @@ class ReviewTable:
             part.flags.writeable = False
         return pairs
 
+    @cached_property
+    def reviewed(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Which developer codes have a pair in ``reviews`` (a read-only mask
+        over ``names``) and those developers' ids, in code order; computed on
+        first use."""
+        mask = np.bincount(self.reviews.reviewer, minlength=len(self.names)) > 0
+        mask.flags.writeable = False
+        return mask, tuple(self.names[mask].tolist())
+
 
 @dataclass
 class ReviewCorpus:

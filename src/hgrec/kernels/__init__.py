@@ -8,7 +8,11 @@ the RevFinder-s baseline. Each entry is the float of the scalar loop
 
 A pair of files whose first tokens differ has lcp 0, so only the pairs that
 share a first token are formed, from the packed files grouped by first token
-(``FilePack.grouping``, kept with the pack). Their terms are added per
+(``FilePack.grouping``, kept with the pack). Each file is a row of tokens
+ending in a fill that matches no token and not the other side's fill
+(``pack.padded_rows``), so a pair's lcp is the first column where its two
+rows differ, found for all pairs at once; the grouping keeps its files'
+rows, files x (longest path + 1) x 4 bytes. The terms are added per
 (target set, set) in the loop's (a, b) order by one ``np.bincount``, which
 sums its weights in input order; a skipped pair's term is 0.0, and adding
 0.0 changes no sum.
@@ -16,39 +20,46 @@ sums its weights in input order; a skipped pair's term is 0.0, and adding
 
 import numpy as np
 
-from .pack import FilePack, FirstTokenGrouping
+from .pack import TARGET_PAD, FilePack, FirstTokenGrouping, padded_rows
 
 BACKEND = "numpy"
 
 # Pairs formed at once: the target sets are swept in chunks of whole sets
 # holding at most this many pairs (one set holding more is a chunk alone),
-# which keeps a chunk's temporaries near half a MiB.
+# which keeps a chunk's temporaries near half a MiB. A pair's rows are
+# compared in blocks of at most ``ROW_CELLS * CHUNK_PAIRS`` token cells, so
+# deep paths do not widen those temporaries past a few hundred KiB more.
 CHUNK_PAIRS = 4096
+ROW_CELLS = 16
 
 
-def _group_pairs(files, lo, counts, by_first):
+def _group_pairs(files, lo, counts):
     """Each target file of ``files`` paired with the ``counts`` files of its
-    first-token group, the run of ``by_first`` from ``lo``: target files
+    first-token group, the run of the grouping from ``lo``: target files
     outer, each group in file order, which is the scalar loop's order."""
-    ends = np.cumsum(counts)
-    a = np.repeat(files, counts)
-    b = by_first[np.arange(ends[-1]) + np.repeat(lo + counts - ends, counts)]
+    ends = counts.cumsum()
+    a = files.repeat(counts)
+    b = np.arange(ends[-1]) + (lo + counts - ends).repeat(counts)
     return a, b
 
 
-def _terms(t_tokens, t_off, t_lens, a, tokens, file_off, lens, b):
-    """``lcp(a, b) / max(|a|, |b|)`` of target file ``a`` and packed file
-    ``b``, for pairs whose first tokens are equal."""
-    # Every pair matches at token 0; extend the prefix while it matches.
-    lcp = np.ones(len(a), dtype=np.int64)
-    shorter = np.minimum(t_lens[a], lens[b])
-    live = np.arange(len(a))
-    p = 1
-    while live.size:
-        live = live[shorter[live] > p]
-        live = live[t_tokens[t_off[a[live]] + p] == tokens[file_off[b[live]] + p]]
-        lcp[live] += 1
-        p += 1
+def _terms(t_rows, t_lens, a, rows, lens, b):
+    """``lcp(a, b) / max(|a|, |b|)`` of target file ``a`` (row ``a`` of the
+    padded ``t_rows``, length ``t_lens[a]``) and grouped file ``b`` (row
+    ``b`` of the padded ``rows``, length ``lens[b]``), for pairs whose first
+    tokens are equal."""
+    # A pair's lcp is the first column where its rows differ. Both sides'
+    # rows end in a fill that differs from everything on the other side, so
+    # the narrower side's last column differs in every pair, and no wider
+    # column need be compared. ``take`` gathers whole rows, several times
+    # faster than indexing, so a block holds the wider side's cells.
+    width = min(t_rows.shape[1], rows.shape[1])
+    step = max(1, ROW_CELLS * CHUNK_PAIRS // max(t_rows.shape[1], rows.shape[1]))
+    lcp = np.empty(len(a), dtype=np.intp)
+    for lo in range(0, len(a), step):
+        t_cells = t_rows.take(a[lo : lo + step], axis=0)[:, :width]
+        same = t_cells == rows.take(b[lo : lo + step], axis=0)[:, :width]
+        same.argmin(axis=1, out=lcp[lo : lo + step])
     return lcp / np.maximum(t_lens[a], lens[b])
 
 
@@ -81,7 +92,7 @@ def mean_similarity_entries(
     n_sets = len(group.sizes)
     t_set_of = np.repeat(np.arange(len(t_sizes)), t_sizes)
 
-    # The files sharing a target file's first token: a run of ``by_first``.
+    # The files sharing a target file's first token: a run of the grouping.
     lo, partners = group.runs(t_tokens[t_off[:-1]])
     before = np.zeros(len(partners) + 1, dtype=np.int64)
     np.cumsum(partners, out=before[1:])
@@ -93,12 +104,12 @@ def mean_similarity_entries(
         s1 = np.searchsorted(at_set, at_set[s0] + CHUNK_PAIRS, side="right") - 1
         s1 = max(int(s1), s0 + 1)
         f0, f1 = t_set_off[s0], t_set_off[s1]
-        a, b = _group_pairs(
-            np.arange(f0, f1), lo[f0:f1], partners[f0:f1], group.by_first
-        )
-        term = _terms(t_tokens, t_off, t_lens, a, tokens, file_off, group.lens, b)
+        # The chunk's target files, numbered from 0.
+        a, b = _group_pairs(np.arange(f1 - f0), lo[f0:f1], partners[f0:f1])
+        t_rows = padded_rows(t_tokens, t_off[f0 : f1 + 1], TARGET_PAD)
+        term = _terms(t_rows, t_lens[f0:f1], a, group.rows, group.lens, b)
 
-        key = t_set_of[a] * n_sets + group.set_of[b]
+        key = t_set_of[f0 + a] * n_sets + group.set_of[b]
         order = np.argsort(key, kind="stable")
         key = key[order]
         fresh = np.ones(len(key), dtype=bool)
@@ -124,10 +135,11 @@ def mean_similarity_row(t_tokens, t_off, tokens, file_off, set_off, *, grouping=
     tokens = np.asarray(tokens)
     file_off = np.asarray(file_off, dtype=np.int64)
     group = grouping or FirstTokenGrouping.of(tokens, file_off, set_off)
-    t_lens = np.diff(t_off)
+    t_lens = t_off[1:] - t_off[:-1]
     lo, counts = group.runs(t_tokens[t_off[:-1]])
-    a, b = _group_pairs(np.arange(len(t_lens)), lo, counts, group.by_first)
-    term = _terms(t_tokens, t_off, t_lens, a, tokens, file_off, group.lens, b)
+    a, b = _group_pairs(np.arange(len(t_lens)), lo, counts)
+    t_rows = padded_rows(t_tokens, t_off, TARGET_PAD)
+    term = _terms(t_rows, t_lens, a, group.rows, group.lens, b)
     sums = np.bincount(group.set_of[b], weights=term, minlength=len(group.sizes))
     return sums / (group.sizes * len(t_lens))
 

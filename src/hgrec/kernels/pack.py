@@ -10,7 +10,8 @@ to int32 ids, and a whole corpus of file sets is laid out as three flat arrays:
 Only token equality matters to the kernel, so the id assignment is arbitrary
 but deterministic (first-seen order). Two files with different first tokens
 have no common prefix, so the kernel reads the files grouped by first token;
-a pack keeps that grouping once made.
+a pack keeps that grouping once made, with each file's tokens as a padded
+row (``padded_rows``), files x (longest path + 1) x 4 bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,27 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+
+# The fill of a packed file's padded row (``PAD``) and of a target file's
+# (``TARGET_PAD``). Packed tokens are ids from 0 up to the vocabulary's size
+# and a target's unseen tokens are ids from -1 down to minus its number of
+# tokens, so neither fill equals a token or the other fill: two rows agree
+# in a column only where both files hold the same token.
+PAD = np.iinfo(np.int32).max
+TARGET_PAD = np.iinfo(np.int32).min
+
+
+def padded_rows(tokens: np.ndarray, file_off: np.ndarray, fill: int) -> np.ndarray:
+    """The files ``tokens[file_off[k]:file_off[k + 1]]`` as the rows of an
+    int32 matrix one column wider than the longest, each padded with
+    ``fill``: every row ends in at least one ``fill``."""
+    lens = file_off[1:] - file_off[:-1]
+    rows = np.empty((len(lens), int(lens.max(initial=0)) + 1), dtype=np.int32)
+    rows.fill(fill)
+    # A boolean mask assigns in row-major order: file by file, token by token.
+    rows[np.arange(rows.shape[1]) < lens[:, None]] = tokens[file_off[0] : file_off[-1]]
+    return rows
 
 
 def _check_path(path: str) -> None:
@@ -30,16 +52,16 @@ def _check_path(path: str) -> None:
 
 @dataclass(frozen=True)
 class FirstTokenGrouping:
-    """Packed files grouped by first token. ``by_first`` is the stable
-    argsort of the files' first tokens and ``first`` those tokens in that
-    order, so the files sharing a first token are one run of ``by_first``, in
-    file order. ``set_of`` and ``lens`` give each file's set and length, and
-    ``sizes`` each set's number of files."""
+    """Packed files grouped by first token: sorted stably by it, so the
+    files sharing a first token are one run, in file order. Per file in that
+    order: its first token (``first``), its set (``set_of``), its length
+    (``lens``) and its tokens as a row padded with ``PAD`` (``rows``).
+    ``sizes`` holds each set's number of files."""
 
-    by_first: np.ndarray
     first: np.ndarray
     set_of: np.ndarray
     lens: np.ndarray
+    rows: np.ndarray
     sizes: np.ndarray
 
     @classmethod
@@ -50,18 +72,18 @@ class FirstTokenGrouping:
         by_first = np.argsort(first, kind="stable")
         sizes = np.diff(set_off)
         return cls(
-            by_first=by_first,
             first=first[by_first],
-            set_of=np.repeat(np.arange(len(sizes)), sizes),
-            lens=np.diff(file_off),
+            set_of=np.repeat(np.arange(len(sizes)), sizes)[by_first],
+            lens=np.diff(file_off)[by_first],
+            rows=padded_rows(tokens, file_off, PAD)[by_first],
             sizes=sizes,
         )
 
     def runs(self, first_tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Start and length of each token's run of ``by_first``: the files
-        whose first token it is."""
-        lo = np.searchsorted(self.first, first_tokens, side="left")
-        return lo, np.searchsorted(self.first, first_tokens, side="right") - lo
+        """Start and length of each token's run: the files whose first token
+        it is."""
+        lo = self.first.searchsorted(first_tokens, side="left")
+        return lo, self.first.searchsorted(first_tokens, side="right") - lo
 
 
 @dataclass

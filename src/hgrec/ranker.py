@@ -24,7 +24,11 @@ edges that each hold an appended vertex; its S differs from blockdiag(S0, I),
 S0 the base's S, only on the appended vertices and the base vertices their
 edges reach. That difference W is kept dense, and the query is solved by
 Woodbury: one solve with the base factor, then one dense solve of the size
-of W. Every fit factors, so that is the one production solve.
+of W. Every fit factors, so that is the one production solve. A query's
+bookkeeping is a few small array operations: its touched vertices are
+sorted from its edges' few member ids, each pair edge's cells of W are one
+broadcast, the base factor gets its right-hand sides in Fortran order, and
+the base's isolated vertices are computed once per system and read.
 
 The fixed-point iteration f <- alpha * A @ f + y, which converges because
 alpha < 1 bounds the spectral radius of alpha * A, is kept as the tests'
@@ -40,6 +44,7 @@ stats, the baselines) never loads it. No import runs on the per-query path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -79,8 +84,9 @@ class RankingSystem:
     def n_vertices(self) -> int:
         return len(self.vertex_degree)
 
-    @property
+    @cached_property
     def isolated(self) -> np.ndarray:
+        """The zero-degree vertices, computed once: degrees never change."""
         return self.vertex_degree <= 0.0
 
 
@@ -141,11 +147,18 @@ def assemble(
     if len(edges.members) != 2 * len(edges):
         raise ValueError("an overlay's edges must each hold two vertices")
     n_base = base.n_vertices
-    touched = np.union1d(edges.members, np.arange(n_base, n_v))
+    # The base vertices the edges reach, then every appended vertex: a set
+    # of a few ids, sorted in Python.
+    members = edges.members.tolist()
+    touched = np.array(
+        sorted({v for v in members if v < n_base}) + list(range(n_base, n_v)),
+        dtype=np.int64,
+    )
     n_touched = len(touched)
     k = n_touched - (n_v - n_base)  # touched base vertices
-    ends = np.searchsorted(touched, edges.members)
-    cells = np.repeat(ends, 2) * n_touched + np.tile(ends.reshape(-1, 2), 2).ravel()
+    ends = touched.searchsorted(edges.members).reshape(-1, 2)
+    # Cells (u, u), (u, v), (v, u), (v, v) of each pair (u, v), pair by pair.
+    cells = (ends[:, :, None] * n_touched + ends[:, None, :]).ravel()
     # W = S - blockdiag(S0, I) on touched: the appended kernel terms, each
     # entry's summed in edge order, the added degree, and the identity rows
     # that vanish (base vertices the appended edges reach) or stay (isolated
@@ -155,11 +168,13 @@ def assemble(
         weights=np.repeat(-alpha * (edges.weight / 2), 4),
         minlength=n_touched * n_touched,
     ).reshape(n_touched, n_touched)
-    added = np.bincount(ends, weights=np.repeat(edges.weight, 2), minlength=n_touched)
+    added = np.bincount(
+        ends.ravel(), weights=np.repeat(edges.weight, 2), minlength=n_touched
+    )
     degree = np.zeros(n_v)
     degree[:n_base] = base.vertex_degree
     before = np.ones(n_touched)
-    before[:k] = degree[touched[:k]] <= 0.0
+    before[:k] = base.isolated[touched[:k]]
     degree[touched] += added
     update.reshape(-1)[:: n_touched + 1] += (
         added + (degree[touched] <= 0.0) - before
@@ -255,8 +270,9 @@ def _solve_update(system: RankingSystem, rhs: np.ndarray) -> np.ndarray:
     base, touched, update = system.base, system.touched, system.update
     n_base = base.n_vertices
     n_touched = len(touched)
-    k = int(np.searchsorted(touched, n_base))  # touched base vertices
-    columns = np.zeros((n_base, k + 1))
+    k = n_touched - (system.n_vertices - n_base)  # touched base vertices
+    # Fortran order, which SuperLU reads without a copy.
+    columns = np.zeros((n_base, k + 1), order="F")
     columns[:, 0] = rhs[:n_base]
     columns[touched[:k], np.arange(1, k + 1)] = 1.0
     solved = base.factor.solve(columns)
@@ -291,9 +307,11 @@ def solve_direct(system: RankingSystem, query: np.ndarray) -> np.ndarray:
         scores = system.factor.solve(rhs)
     else:
         scores = _solve_update(system, rhs)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise SolverError("direct solve produced non-finite scores")
-    residual = float(np.max(np.abs(_product(system, scores) - rhs), initial=0.0))
+    misfit = _product(system, scores)
+    misfit -= rhs
+    residual = float(np.abs(misfit, out=misfit).max(initial=0.0))
     bound = RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
     if residual > bound:
         raise SolverError(

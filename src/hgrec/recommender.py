@@ -32,7 +32,6 @@ from .hypergraph import (
     pr_pr_raw_row,
     scale_into_range,
     _span,
-    _top_entries,
 )
 
 
@@ -119,13 +118,11 @@ def graft(state: FitState, target: TargetPR) -> Hypergraph:
     raw = pr_pr_raw_row(
         sims[similar], index.times[similar], _span(t_start, t_end), target.created_at
     )
-    top = _top_entries(
-        np.zeros(len(similar), dtype=np.int64),
-        similar,
-        raw,
-        index.chronology,
-        base.params.top_m,
-    )
+    # The top m positive raw weights, strongest first, ties to the older
+    # partner: ``_top_entries``' order of one row.
+    top = np.flatnonzero(raw > 0.0)
+    top = top[np.lexsort((index.chronology[similar[top]], -raw[top]))]
+    top = top[: base.params.top_m]
     partners = similar[top]
     # Every appended edge pairs the target with one vertex: first its
     # contributor, then each partner PR, which as a base vertex precedes it.

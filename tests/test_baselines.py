@@ -177,6 +177,29 @@ class TestRevfinder:
         assert all(part.dtype == np.intp for part in pairs)
         assert not any(part.flags.writeable for part in pairs)
 
+    def test_reviewed_developers_computed_once_per_table(self):
+        """The developers with a review pair, and their ids, are read from
+        the table at every query, not recomputed: the table memoizes them
+        beside its pairs, read-only."""
+        corpus = make_corpus([
+            make_pr("p1", "ann", T0, ["src/a.c"], comments=[("rex", T0 + DAY)]),
+            make_pr("p2", "bo", T0 + DAY, ["src/b.c"],
+                    comments=[("bo", T0 + DAY), ("sue", T0 + 2 * DAY)]),
+        ])
+        table = corpus.review_table()
+        mask, ids = table.reviewed
+        assert mask.tolist() == [False, False, True, True]
+        assert ids == ("rex", "sue")
+        assert not mask.flags.writeable
+        result = revfinder_recommend(corpus, target("cy", ["src/b.c"]), 5)
+        assert result.ids() == ["sue", "rex"]
+        assert table.reviewed is corpus.review_table().reviewed
+        # A query reads the memo: one that hides sue leaves rex alone.
+        hidden = np.array([False, False, True, False])
+        table.__dict__["reviewed"] = (hidden, ("rex",))
+        result = revfinder_recommend(corpus, target("cy", ["src/b.c"]), 5)
+        assert result.ids() == ["rex"]
+
     def test_window_credits_only_comments_before_its_cut(self):
         cut = T0 + 5 * DAY
         corpus = make_corpus([

@@ -113,6 +113,43 @@ def test_a_fit_makes_no_kernel_row_and_a_query_one(tracing):
     assert run.layer_metrics(tracer, wrapped)["kernels.mean_similarity_row.calls"] == 1
 
 
+# The steps of one query, each of which the serve workload times once per
+# ``recommend`` under these span names.
+QUERY_SPANS = (
+    "recommender.graft",
+    "kernels.mean_similarity_row",
+    "hypergraph.pr_pr_raw_row",
+    "ranker.assemble",
+    "recommender.query_vector",
+    "ranker.solve",
+    "ranker.solve_direct",
+    "recommender.rank_developers",
+)
+
+
+def test_a_query_makes_one_call_to_each_step(tracing):
+    """One ``recommend`` on a fitted recommender calls each step of the
+    query path exactly once, through the names perfbench wraps: a step
+    inlined or called under another name would read 0, and one split in
+    two would read 2."""
+    run, tracer, wrapped = tracing
+    from hgrec.recommender import HypergraphRecommender, TargetPR
+
+    with open(FIXTURE, encoding="utf-8") as handle:
+        corpus = clean(parse_export(handle), bot_patterns=[BOT_PATTERN])
+    recommender = HypergraphRecommender().fit(corpus)
+    assert set(QUERY_SPANS) <= set(wrapped)
+    before = run.layer_metrics(tracer, wrapped)
+
+    last = corpus.prs[-1]
+    target = TargetPR("query", last.contributor, last.created_at + 1, last.files)
+    recommender.recommend(target, 5)
+    after = run.layer_metrics(tracer, wrapped)
+    calls = {name: after[f"{name}.calls"] - before[f"{name}.calls"] for name in QUERY_SPANS}
+    assert calls == dict.fromkeys(QUERY_SPANS, 1)
+    assert after["recommender.recommend.calls"] == before["recommender.recommend.calls"] + 1
+
+
 def test_the_solver_argument_perfbench_passes_builds_the_defaults():
     """perfbench checks its default runs against
     ``HyperParams(solver="direct")``: that call must keep constructing the
