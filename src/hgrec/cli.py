@@ -78,8 +78,8 @@ def _read_export(path: str, config: RunConfig, skip_invalid: bool = False):
     prs = parse_export(
         raw_bytes.splitlines(), skip_invalid=skip_invalid, errors=errors, lines=lines
     )
-    bot_patterns = _read_bot_patterns(config.bots) if config.bots else ()
-    excluded = _read_lines(config.exclude) if config.exclude else ()
+    bot_patterns = _read_bot_patterns(config.bots) if config.bots is not None else ()
+    excluded = _read_lines(config.exclude) if config.exclude is not None else ()
     corpus = clean(
         prs,
         bot_patterns=bot_patterns,
@@ -98,9 +98,10 @@ def _parse_ks(text: str) -> list[int]:
 
 
 def _merge_config(args) -> RunConfig:
-    """File config (when given) overridden by explicitly passed flags."""
+    """File config (when given) overridden by explicitly passed flags. An
+    empty value is passed, not ignored: it fails as its malformed values do."""
     config = RunConfig()
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         with open(args.config, "rb") as handle:
             config = RunConfig.from_json(handle.read())
 
@@ -113,14 +114,15 @@ def _merge_config(args) -> RunConfig:
         params = HyperParams(**{**vars(params), **effective})
 
     recommenders = getattr(args, "recommenders", None)
+    ks = getattr(args, "ks", None)
     return config.override(
         params=params,
         input=getattr(args, "input", None),
         bots=getattr(args, "bots", None),
         exclude=getattr(args, "exclude", None),
         min_reviews=getattr(args, "min_reviews", None),
-        recommenders=recommenders.split(",") if recommenders else None,
-        ks=_parse_ks(args.ks) if getattr(args, "ks", None) else None,
+        recommenders=recommenders.split(",") if recommenders is not None else None,
+        ks=_parse_ks(ks) if ks is not None else None,
         initial_months=getattr(args, "initial_months", None),
         max_rounds=getattr(args, "max_rounds", None),
         output_dir=getattr(args, "output_dir", None),
@@ -265,9 +267,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if bool(args.corpus) == bool(args.input):
+    if (args.corpus is None) == (args.input is None):
         raise HgrecError("pass exactly one of --corpus or --input")
-    if args.input:
+    if args.input is not None:
         corpus, _, errors = _read_export(
             args.input, _merge_config(args), args.skip_invalid
         )
@@ -295,10 +297,10 @@ def cmd_stats(args) -> int:
 
 
 def _target_from_args(args) -> TargetPR:
-    if args.target:
+    if args.target is not None:
         with open(args.target, "rb") as handle:
             return parse_target(handle.read())
-    if not (args.files and args.contributor and args.time):
+    if None in (args.files, args.contributor, args.time):
         raise HgrecError("pass --target FILE or all of --files/--contributor/--time")
     return parse_target(
         {

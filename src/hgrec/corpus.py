@@ -7,7 +7,8 @@ The export format is one JSON object per line:
      "comments": [{"author": str, "created_at": RFC3339 str}, ...]}
 
 Unknown fields are ignored. Timestamps are normalized to UTC epoch seconds
-with sub-second precision truncated; every model formula uses ratios of time
+with sub-second precision truncated, and must lie from 0001-01-01T00:00:00Z
+through 9999-12-31T23:59:59Z; every model formula uses ratios of time
 differences, so the unit choice cancels.
 
 Every record is read once: ``parse_record`` is the only validator, for
@@ -16,7 +17,9 @@ checks and converts each comment in one step. ``clean`` keeps a PR that
 loses no comment as the parsed object, matches accounts only when there are
 bot patterns or excluded ids, and names both export lines of a repeated PR
 id when given the lines ``parse_export`` collects. ``corpus_to_json`` writes
-the artifact with sorted keys.
+the artifact PR by PR as text, never as one tree of dicts; its bytes are
+those of ``json.dumps`` with sorted keys and compact separators, pinned by
+sha256 in the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -214,14 +216,16 @@ class ReviewCorpus:
 
     def reviewer_ids(self) -> frozenset[str]:
         return frozenset(
-            c.author
-            for pr in self.prs
-            for c in pr.comments
-            if c.author != pr.contributor
+            {
+                c.author
+                for pr in self.prs
+                for c in pr.comments
+                if c.author != pr.contributor
+            }
         )
 
     def contributor_ids(self) -> frozenset[str]:
-        return frozenset(pr.contributor for pr in self.prs)
+        return frozenset({pr.contributor for pr in self.prs})
 
     def comment_counts(self) -> dict[str, int]:
         """Total comments per author, counted in the review table; memoized
@@ -300,7 +304,7 @@ class ReviewCorpus:
     def stats(self) -> dict[str, int]:
         return {
             "prs": len(self.prs),
-            "comments": sum(len(pr.comments) for pr in self.prs),
+            "comments": sum([len(pr.comments) for pr in self.prs]),
             "reviewers": len(self.reviewer_ids()),
             "contributors": len(self.contributor_ids()),
         }
@@ -352,11 +356,27 @@ def _build_review_table(prs: list[PullRequest]) -> ReviewTable:
     )
 
 
+# The first and last whole seconds a ``datetime`` can hold, in UTC epoch
+# seconds: 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z. Both time
+# converters accept nothing outside them, so ``datetime.fromtimestamp``
+# takes every time a corpus holds.
+EPOCH_MIN = -62135596800
+EPOCH_MAX = 253402300799
+
+
+def _out_of_range(epoch: int) -> ValueError:
+    return ValueError(
+        f"epoch seconds {epoch} outside 0001-01-01T00:00:00Z "
+        "through 9999-12-31T23:59:59Z"
+    )
+
+
 def parse_timestamp(text: str) -> int:
     """RFC 3339 string -> UTC epoch seconds (sub-second part truncated).
 
-    Raises ValueError on a malformed string and TypeError on a non-string.
-    A string ``datetime.fromisoformat`` takes as given (on Python 3.11, every
+    Raises ValueError on a malformed string or a moment outside
+    ``EPOCH_MIN``..``EPOCH_MAX``, and TypeError on a non-string. A string
+    ``datetime.fromisoformat`` takes as given (on Python 3.11, every
     canonical stamp, ``Z`` included) is read in one call; any other value
     takes the path that strips it and rewrites a final ``Z`` or ``z`` as
     ``+00:00``, which gives the same moment for every string both accept.
@@ -367,7 +387,10 @@ def parse_timestamp(text: str) -> int:
         moment = _lenient_fromisoformat(text)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
-    return int(moment.timestamp())
+    epoch = int(moment.timestamp())
+    if not EPOCH_MIN <= epoch <= EPOCH_MAX:
+        raise _out_of_range(epoch)
+    return epoch
 
 
 def _lenient_fromisoformat(text: object) -> datetime:
@@ -449,13 +472,9 @@ def parse_record(
 
     # Ascending time, ties kept in input order.
     comments.sort(key=_created_at)
+    # Positional arguments: keywords cost more than half the call.
     return PullRequest(
-        id=pr_id,
-        contributor=contributor,
-        created_at=created,
-        files=tuple(sorted(set(files))),
-        comments=tuple(comments),
-        state=state,
+        pr_id, contributor, created, tuple(sorted(set(files))), tuple(comments), state
     )
 
 
@@ -532,7 +551,7 @@ def clean(
     def dropped_account(account: str) -> bool:
         return account in excluded or any(r.search(account) for r in bot_res)
 
-    # (raw position, PR, its reviewers) of each PR passing steps 1 and 2.
+    # (raw position, PR) of each PR passing steps 1 and 2.
     stage = []
     for at, pr in enumerate(raw):
         if pr.state == "open":
@@ -545,31 +564,34 @@ def clean(
                 pr = PullRequest(
                     pr.id, pr.contributor, pr.created_at, pr.files, kept, pr.state
                 )
-        stage.append((at, pr, pr.reviewers()))
+        stage.append((at, pr))
 
-    # Reviewer participation is counted in distinct reviewed PR ids: an id
-    # can repeat here when step 4 leaves only one of its PRs.
-    reviewed: dict[str, frozenset[str]] = {}
-    for _, pr, reviewers in stage:
-        seen = reviewed.get(pr.id)
-        reviewed[pr.id] = reviewers if seen is None else seen | reviewers
-    participation = Counter(chain.from_iterable(reviewed.values()))
+    # Reviewer participation is counted in distinct (PR id, reviewer) pairs:
+    # an id can repeat here when step 4 leaves only one of its PRs.
+    reviews = {
+        (pr.id, c.author)
+        for _, pr in stage
+        for c in pr.comments
+        if c.author != pr.contributor
+    }
+    participation = Counter([reviewer for _, reviewer in reviews])
     casual = {r for r, n in participation.items() if n < min_reviews}
 
     cleaned = []
     first_at: dict[str, int] = {}
-    for at, pr, reviewers in stage:
+    for at, pr in stage:
         if not pr.files:
             continue
-        if not casual.isdisjoint(reviewers):
+        if casual:
             kept = tuple(
                 c
                 for c in pr.comments
                 if not (c.author in casual and c.author != pr.contributor)
             )
-            pr = PullRequest(
-                pr.id, pr.contributor, pr.created_at, pr.files, kept, pr.state
-            )
+            if len(kept) < len(pr.comments):
+                pr = PullRequest(
+                    pr.id, pr.contributor, pr.created_at, pr.files, kept, pr.state
+                )
         first = first_at.setdefault(pr.id, at)
         if first != at:
             message = f"duplicate PR id {pr.id!r}"
@@ -600,38 +622,53 @@ def corpus_to_json(
     stats: dict[str, int] | None = None,
 ) -> str:
     """The artifact text; ``stats`` is ``corpus.stats()`` when the caller
-    already has it. Every dict is built with its keys in sorted order, so
-    the text is what ``sort_keys`` would give."""
+    already has it. Each PR's object is written as text, keys in sorted
+    order, strings escaped by the encoder ``json.dumps`` uses and times by
+    ``int.__repr__``; the rest goes through ``json.dumps``. The text is what
+    ``json.dumps(..., separators=(",", ":"))`` of the dict with sorted keys
+    gives, byte for byte."""
     if stats is None:
         stats = corpus.stats()
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "prs": [
-            {
-                "comments": [
-                    {"author": c.author, "created_at": c.created_at}
-                    for c in pr.comments
-                ],
-                "contributor": pr.contributor,
-                "created_at": pr.created_at,
-                "files": pr.files,
-                "id": pr.id,
-                "state": pr.state,
-            }
-            for pr in corpus.prs
-        ],
-        "source_sha256": source_sha256,
-        "stats": dict(sorted(stats.items())),
-        "t_end": corpus.t_end,
-        "t_start": corpus.t_start,
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    tail = json.dumps(
+        {
+            "source_sha256": source_sha256,
+            "stats": dict(sorted(stats.items())),
+            "t_end": corpus.t_end,
+            "t_start": corpus.t_start,
+        },
+        separators=(",", ":"),
+    )
+    prs = ",".join(map(_pr_json, corpus.prs))
+    return f'{{"format":{_json_str(ARTIFACT_FORMAT)},"prs":[{prs}],{tail[1:]}\n'
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_json_int = int.__repr__
+
+
+def _pr_json(pr: PullRequest) -> str:
+    """One PR's object in the artifact, as ``corpus_to_json`` writes it."""
+    comments = ",".join(
+        [
+            f'{{"author":{_json_str(c.author)},"created_at":{_json_int(c.created_at)}}}'
+            for c in pr.comments
+        ]
+    )
+    files = ",".join(map(_json_str, pr.files))
+    return (
+        f'{{"comments":[{comments}],"contributor":{_json_str(pr.contributor)},'
+        f'"created_at":{_json_int(pr.created_at)},"files":[{files}],'
+        f'"id":{_json_str(pr.id)},"state":{_json_str(pr.state)}}}'
+    )
 
 
 def _epoch_seconds(value: object) -> int:
-    """A time field of the corpus artifact: an integer, not a bool."""
+    """A time field of the corpus artifact: an integer, not a bool, from
+    ``EPOCH_MIN`` through ``EPOCH_MAX``."""
     if type(value) is not int:
         raise ValueError(f"expected integer epoch seconds, got {value!r}")
+    if not EPOCH_MIN <= value <= EPOCH_MAX:
+        raise _out_of_range(value)
     return value
 
 

@@ -46,6 +46,11 @@ def month_start(epoch: int) -> int:
 def add_months(month_epoch: int, count: int) -> int:
     moment = datetime.fromtimestamp(month_epoch, tz=timezone.utc)
     index = (moment.year * 12 + moment.month - 1) + count
+    if index >= 10000 * 12:
+        raise CorpusSpanError(
+            f"an evaluation round ends at {index // 12}-{index % 12 + 1:02d}-01, "
+            "after 9999-12-31T23:59:59Z"
+        )
     return int(
         datetime(index // 12, index % 12 + 1, 1, tzinfo=timezone.utc).timestamp()
     )

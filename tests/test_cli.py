@@ -224,13 +224,24 @@ class TestIngestErrors:
         )
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
     @pytest.mark.parametrize("flag", ["--bots", "--exclude"])
-    def test_list_file_not_utf8_exits_2(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("empty", [False, True], ids=["not-utf8", "empty-path"])
+    def test_unreadable_list_file_exits_2(self, tmp_path, capsys, command, flag, empty):
+        """A list file that is not UTF-8, or an empty path, which is read as a
+        path rather than taken for no list."""
         listed = tmp_path / "accounts.txt"
         listed.write_bytes(b"\xff[bot]\n")
-        assert main(["stats", "--input", str(FIXTURE), flag, str(listed)]) == 2
+        argv = [command, "--input", str(FIXTURE), flag, "" if empty else str(listed)]
+        if command == "ingest":
+            argv += ["--output", str(tmp_path / "o.json")]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {listed}: not UTF-8 text: ")
+        if empty:
+            assert err == "error: [Errno 2] No such file or directory: ''\n"
+        else:
+            assert err.startswith(f"error: {listed}: not UTF-8 text: ")
+        assert not (tmp_path / "o.json").exists()
 
     @staticmethod
     def export_repeating_line_1(tmp_path, *, state="merged", invalid=False):
@@ -339,6 +350,86 @@ class TestStats:
         assert capsys.readouterr().err.startswith(f"error: corpus artifact: {field}")
 
 
+class TestTimeRange:
+    """A time ``datetime`` cannot hold (before 0001-01-01T00:00:00Z or after
+    9999-12-31T23:59:59Z) is a user error naming its field, whichever
+    command reads it."""
+
+    OUTSIDE = "outside 0001-01-01T00:00:00Z through 9999-12-31T23:59:59Z"
+
+    @pytest.mark.parametrize("command", ["stats", "evaluate", "recommend"])
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (artifact(created_at=10**12), "pr 0: bad created_at"),
+            (artifact(created_at=10**20), "pr 0: bad created_at"),
+            (artifact(comments=[{"author": "bo", "created_at": 253402300800}]),
+             "pr 0: comment 0 has bad created_at"),
+            ({**artifact(), "t_start": -62135596801}, "bad t_start"),
+            ({**artifact(), "t_end": 10**20}, "bad t_end"),
+        ],
+        ids=["created-1e12", "created-1e20", "comment-after-9999", "t-start-before-1",
+             "t-end-1e20"],
+    )
+    def test_artifact_exits_2(self, tmp_path, capsys, command, payload, field):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(payload))
+        argv = {
+            "stats": ["stats", "--corpus", str(path)],
+            "evaluate": ["evaluate", "--corpus", str(path), "--recommenders", "hgrec,ac",
+                         "--output-dir", str(tmp_path / "out")],
+            "recommend": ["recommend", "--corpus", str(path), "--files", "src/a.c",
+                          "--contributor", "eve", "--time", "2020-08-01T00:00:00Z"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: corpus artifact: {field}: epoch seconds ")
+        assert captured.err.endswith(f" {self.OUTSIDE}\n")
+
+    @pytest.mark.parametrize(
+        "stamp, epoch",
+        [("0001-01-01T00:00:00+01:00", -62135600400),
+         ("9999-12-31T23:59:59-01:00", 253402304399)],
+        ids=["before-year-1", "after-year-9999"],
+    )
+    @pytest.mark.parametrize("where", ["pr", "comment"])
+    def test_export_exits_2(self, tmp_path, capsys, stamp, epoch, where):
+        rows = FIXTURE.read_text().splitlines()
+        row = json.loads(rows[2])
+        if where == "pr":
+            row["created_at"], field = stamp, "bad created_at"
+        else:
+            row["comments"][0]["created_at"], field = stamp, "comment 0 has bad created_at"
+        rows[2] = json.dumps(row)
+        src = tmp_path / "export.jsonl"
+        src.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o.json"
+        assert main(["ingest", "--input", str(src), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: {field}: epoch seconds {epoch} {self.OUTSIDE}\n"
+        )
+        assert not out.exists()
+
+    def test_evaluate_corpus_ending_in_december_9999_exits_2(self, tmp_path, capsys):
+        # Every time is in range, but the last round tests the month that
+        # ends at 10000-01-01, which ``datetime`` cannot hold.
+        times = [253368086400 + i * 2_600_000 for i in range(13)] + [253402300799]
+        prs = [
+            {"id": f"p{i}", "contributor": "ann", "created_at": t, "state": "merged",
+             "files": ["src/a.c"], "comments": [{"author": "bo", "created_at": t}]}
+            for i, t in enumerate(times)
+        ]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"format": "hgrec-corpus-v1", "t_start": times[0],
+                                    "t_end": times[-1], "prs": prs}))
+        assert main(["evaluate", "--corpus", str(path), "--recommenders", "hgrec,ac",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: an evaluation round ends at 10000-01-01, after 9999-12-31T23:59:59Z\n"
+        )
+
+
 GOOD_TARGET = {
     "id": "incoming",
     "contributor": "eve",
@@ -434,13 +525,20 @@ class TestRecommend:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: target:")
 
-    def test_malformed_time_flag_exits_2(self, corpus_artifact, capsys):
+    @pytest.mark.parametrize(
+        "time, reason",
+        [("12", "Invalid isoformat string: '12'"),
+         ("0001-01-01T00:00:00+01:00", "epoch seconds -62135600400 outside "
+          "0001-01-01T00:00:00Z through 9999-12-31T23:59:59Z")],
+        ids=["not-rfc3339", "before-year-1"],
+    )
+    def test_malformed_time_flag_exits_2(self, corpus_artifact, capsys, time, reason):
         code = main(
             ["recommend", "--corpus", corpus_artifact, "--files", "src/net/tcp.c",
-             "--contributor", "eve", "--time", "12"]
+             "--contributor", "eve", "--time", time]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: target: bad created_at")
+        assert capsys.readouterr().err == f"error: target: bad created_at: {reason}\n"
 
     @pytest.mark.parametrize("files", ["src/net/udp.c", [1], [""], None])
     def test_target_file_bad_files_exits_2(self, corpus_artifact, capsys, tmp_path, files):
@@ -631,6 +729,13 @@ class TestConfig:
              "unknown params keys: ['similarity_unit']"),
             ("{}", ["evaluate", "--ks", "a"], "ks"),
             ("{}", ["evaluate", "--ks", "1,,3"], "ks"),
+            ("{}", ["evaluate", "--ks", ""], "ks must be comma-separated integers, got ''"),
+            ("{}", ["evaluate", "--recommenders", ""], "unknown recommenders: ['']"),
+            ("{}", [*RECOMMEND[:4], "", *RECOMMEND[5:]],
+             "target: contributor must be a non-empty string"),
+            ("{}", [RECOMMEND[0], "--files", "", *RECOMMEND[3:]],
+             "target: files must name at least one path"),
+            ("{}", [*RECOMMEND[:6], ""], "target: bad created_at: "),
             ('{"jobs": 2}', ["evaluate"], "unknown config keys: ['jobs']"),
             ('{"params": {"max_iter": 5}}', RECOMMEND,
              "unknown params keys: ['max_iter']"),
@@ -638,6 +743,8 @@ class TestConfig:
         ],
         ids=["not-json", "alpha-string", "ks-string", "ks-empty", "unknown-param",
              "similarity-unit-param", "ks-flag-letter", "ks-flag-empty-item",
+             "ks-flag-empty", "recommenders-flag-empty", "contributor-flag-empty",
+             "files-flag-empty", "time-flag-empty",
              "jobs-key", "max-iter-param", "deterministic-false"],
     )
     def test_malformed_config_exits_2(
@@ -649,6 +756,19 @@ class TestConfig:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["stats", "--input", ""], [*RECOMMEND, "--config", ""],
+         ["evaluate", "--config", ""], ["recommend", "--target", ""]],
+        ids=["stats-input", "recommend-config", "evaluate-config", "recommend-target"],
+    )
+    def test_empty_path_flag_exits_2(self, corpus_artifact, capsys, command):
+        # An empty path is read as a path, not taken for an absent flag.
+        if command[0] != "stats":
+            command = [*command, "--corpus", corpus_artifact]
+        assert main(command) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
 
     @pytest.mark.parametrize(
         "key, value", [("solver", '"direct"'), ("tol", "1e-10")], ids=["solver", "tol"]

@@ -1,6 +1,10 @@
 """``parse_timestamp``, ``parse_record`` and ``clean`` against the forms they
-had before ingest read each record once: same results, same errors."""
+had before ingest read each record once, and ``corpus_to_json`` against the
+form it had before it wrote each PR's text itself: same results, same errors,
+same bytes. Both time converters now reject a moment ``datetime`` cannot
+hold; each oracle converter is checked with that rule added."""
 
+import json
 import re
 import string
 from datetime import datetime, timedelta, timezone
@@ -12,11 +16,13 @@ from hypothesis import strategies as st
 
 from hgrec import corpus
 from hgrec.corpus import (
+    ARTIFACT_FORMAT,
     PR_STATES,
     PullRequest,
     ReviewComment,
     ReviewCorpus,
     clean,
+    corpus_to_json,
     parse_record,
     parse_timestamp,
 )
@@ -136,6 +142,55 @@ def oracle_clean(raw, bot_patterns=(), min_reviews=2, exclude_ids=()):
     return ReviewCorpus(prs=cleaned, t_start=min(stamps), t_end=max(stamps))
 
 
+def oracle_corpus_to_json(corpus, source_sha256=None, stats=None):
+    if stats is None:
+        stats = corpus.stats()
+    payload = {
+        "format": ARTIFACT_FORMAT,
+        "prs": [
+            {
+                "comments": [
+                    {"author": c.author, "created_at": c.created_at}
+                    for c in pr.comments
+                ],
+                "contributor": pr.contributor,
+                "created_at": pr.created_at,
+                "files": pr.files,
+                "id": pr.id,
+                "state": pr.state,
+            }
+            for pr in corpus.prs
+        ],
+        "source_sha256": source_sha256,
+        "stats": dict(sorted(stats.items())),
+        "t_end": corpus.t_end,
+        "t_start": corpus.t_start,
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def oracle_epoch_seconds(value):
+    if type(value) is not int:
+        raise ValueError(f"expected integer epoch seconds, got {value!r}")
+    return value
+
+
+def in_range(convert):
+    """``convert`` with the rule both converters now apply: a time outside
+    0001-01-01T00:00:00Z through 9999-12-31T23:59:59Z is a ValueError."""
+
+    def checked(value):
+        epoch = convert(value)
+        if not -62135596800 <= epoch <= 253402300799:
+            raise ValueError(
+                f"epoch seconds {epoch} outside 0001-01-01T00:00:00Z "
+                "through 9999-12-31T23:59:59Z"
+            )
+        return epoch
+
+    return checked
+
+
 def outcome(fn, *args, **kwargs):
     """The result, or the exception's type and message."""
     try:
@@ -186,6 +241,20 @@ stamps = st.one_of(
     moments.map(lambda t: t.strftime("%Y%m%d")),
     st.text(max_size=30),  # garbage
     st.text("0123456789-:TZz+. W", max_size=30),
+    st.sampled_from(  # at and past the ends of datetime's range
+        [
+            "0001-01-01T00:00:00Z",
+            "0001-01-01T00:00:00+01:00",
+            "0001-01-01T00:59:59+01:00",
+            "0001-01-01T00:00:00.5Z",
+            "9999-12-31T23:59:59Z",
+            "9999-12-31T23:59:59-01:00",
+            "9999-12-31T23:59:59.999999Z",
+            "9999-12-31T23:59:59.9Z",
+            "1969-12-31T23:59:59.5Z",
+            "1970-01-01T00:00:00.000001-00:01",
+        ]
+    ),
 )
 
 
@@ -218,7 +287,8 @@ timestamp_inputs = st.one_of(stamps, edited_stamps(), non_strings)
 @settings(max_examples=1000)
 @given(timestamp_inputs)
 def test_parse_timestamp_matches_oracle(value):
-    assert outcome(parse_timestamp, value) == outcome(oracle_parse_timestamp, value)
+    expected = outcome(in_range(oracle_parse_timestamp), value)
+    assert outcome(parse_timestamp, value) == expected
 
 
 class _Py310Datetime(datetime):
@@ -240,7 +310,7 @@ class _Py310Datetime(datetime):
 def test_parse_timestamp_without_z_support_matches_oracle(value):
     with mock.patch.object(corpus, "datetime", _Py310Datetime):
         got = outcome(parse_timestamp, value)
-    assert got == outcome(oracle_parse_timestamp, value)
+    assert got == outcome(in_range(oracle_parse_timestamp), value)
 
 
 def test_a_z_stamp_takes_the_fallback_without_z_support():
@@ -299,6 +369,11 @@ def records_like(times):
     )
 
 
+# Artifact times at and past the ends of datetime's range.
+epoch_edges = st.sampled_from(
+    [-62135596801, -62135596800, 253402300799, 253402300800, 10**12, 10**20, -(10**20)]
+)
+
 # Half of the times from two, so that comments tie and their input order shows.
 tied_stamps = st.booleans().flatmap(
     lambda tie: st.sampled_from(["2020-01-02T00:00:00Z", "2020-01-01T00:00:00Z"])
@@ -325,7 +400,10 @@ valid_records = st.fixed_dictionaries(
 @settings(max_examples=400)
 @given(records_like(tied_stamps) | valid_records | json_values, st.booleans())
 def test_parse_record_matches_oracle(obj, query):
-    assert outcome(parse_record, obj, query) == outcome(oracle_parse_record, obj, query)
+    expected = outcome(
+        oracle_parse_record, obj, query, timestamp=in_range(oracle_parse_timestamp)
+    )
+    assert outcome(parse_record, obj, query) == expected
 
 
 def test_parse_record_keeps_tied_comments_in_input_order():
@@ -344,12 +422,19 @@ def test_parse_record_keeps_tied_comments_in_input_order():
 
 
 @settings(max_examples=200)
-@given(records_like(st.integers(-5, 2**33) | st.booleans()))
+@given(records_like(st.integers(-5, 2**33) | epoch_edges | st.booleans()))
 def test_parse_record_of_artifact_times_matches_oracle(obj):
-    epochs = corpus._epoch_seconds
-    assert outcome(parse_record, obj, timestamp=epochs) == outcome(
-        oracle_parse_record, obj, timestamp=epochs
+    got = outcome(parse_record, obj, timestamp=corpus._epoch_seconds)
+    assert got == outcome(
+        oracle_parse_record, obj, timestamp=in_range(oracle_epoch_seconds)
     )
+
+
+@settings(max_examples=300)
+@given(st.integers() | epoch_edges | non_strings | st.text(max_size=4))
+def test_epoch_seconds_matches_oracle(value):
+    expected = outcome(in_range(oracle_epoch_seconds), value)
+    assert outcome(corpus._epoch_seconds, value) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +491,19 @@ def test_clean_keeps_a_pr_that_loses_no_comment():
     assert cleaned.prs[0] is keep and cleaned.prs[2] is other
     assert cleaned.prs[1] is not trimmed
     assert cleaned.prs[1].comments == (ReviewComment("bob", 4),)
+    # zed reviews one PR, so is casual; a comment on one's own PR is no
+    # review and stays, so only the reviewed PR is rebuilt.
+    own = PullRequest(
+        "p4", "zed", 8, ("a.c",), (ReviewComment("zed", 9), ReviewComment("bob", 10))
+    )
+    reviewed = PullRequest(
+        "p5", "ann", 11, ("a.c",), (ReviewComment("zed", 12), ReviewComment("bob", 13))
+    )
+    cleaned = clean([keep, own, reviewed, other])
+    assert [pr.id for pr in cleaned.prs] == ["p1", "p3", "p4", "p5"]
+    assert cleaned.prs[0] is keep and cleaned.prs[1] is other
+    assert cleaned.prs[2] is own
+    assert cleaned.prs[3].comments == (ReviewComment("bob", 13),)
 
 
 def test_clean_names_both_lines_of_a_repeated_id():
@@ -418,3 +516,53 @@ def test_clean_names_both_lines_of_a_repeated_id():
         clean(raw, lines=[3, 5, 8, 13])
     assert str(caught.value) == "line 13: duplicate PR id 'p1' (first at line 3)"
     assert caught.value.line_number == 13
+
+
+# ---------------------------------------------------------------------------
+# corpus_to_json.
+
+# Characters the writer must escape as json.dumps does (quote, backslash,
+# control characters, non-ASCII, U+2028 and U+2029, astral-plane characters
+# written as surrogate pairs) among ones it writes as they are.
+awkward_text = st.text(
+    st.sampled_from('"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f a')
+    | st.sampled_from("\xe9\xff\u2028\u2029\uffff\U0001f600\U0001d11e")
+    | st.characters(),
+    min_size=1,
+    max_size=6,
+)
+artifact_times = st.integers(-62135596800, 253402300799) | st.integers()
+comments_of = st.lists(
+    st.builds(ReviewComment, author=awkward_text, created_at=artifact_times),
+    max_size=4,
+).map(tuple)
+corpora = st.builds(
+    ReviewCorpus,
+    prs=st.lists(
+        st.builds(
+            PullRequest,
+            id=awkward_text,
+            contributor=awkward_text,
+            created_at=artifact_times,
+            files=st.lists(awkward_text, max_size=3).map(
+                lambda f: tuple(sorted(set(f)))
+            ),
+            comments=comments_of,
+            state=st.sampled_from(PR_STATES),
+        ),
+        max_size=5,
+    ),
+    t_start=artifact_times,
+    t_end=artifact_times,
+)
+
+
+@settings(max_examples=300)
+@given(
+    corpora,
+    st.none() | st.text(max_size=64) | st.just("ab" * 32),
+    st.none() | st.dictionaries(awkward_text, st.integers(), max_size=4),
+)
+def test_corpus_to_json_matches_oracle(corpus_, source_sha256, stats):
+    text = corpus_to_json(corpus_, source_sha256=source_sha256, stats=stats)
+    assert text == oracle_corpus_to_json(corpus_, source_sha256, stats)
