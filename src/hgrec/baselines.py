@@ -13,13 +13,15 @@ only from the fields this corpus carries; the evaluation labels them with an
   cHRev-s      per-file review expertise: comment share plus recency over
                the target's files.
   CN-s         comment network: decayed interaction strength between each
-               reviewer and the target's contributor, both directions.
+               reviewer and the target's contributor, both directions,
+               counted over the review table's review comments.
 
 All four are pure functions of (training corpus, target, k) and rank their
 scores with ``recommender.rank_developers``, hgrec's own rule: the target's
 contributor is excluded and score ties are broken by historical comment count
-(more first) then lexicographic id. The counts, and RevFinder-s's reviewer
-pairs, come from the corpus's review table; the other three loop over its PRs.
+(more first) then lexicographic id. The counts, RevFinder-s's reviewer pairs
+and CN-s's review comments come from the corpus's review table; AC-s and
+cHRev-s loop over its PRs.
 """
 
 from __future__ import annotations
@@ -128,30 +130,32 @@ def cn_recommend(
 
     The i-th of n directed interactions reviewer -> author contributes
     decay**i. A candidate's score adds both directions between them and the
-    target's contributor.
+    target's contributor. Both directions are counted over the review table's
+    review comments; a contributor absent from the table has no candidates.
     """
     if not 0.0 < decay <= 1.0:
         raise HgrecError(f"decay must be in (0, 1], got {decay}")
-    contributor = target.contributor
-    received: dict[str, int] = {}  # a developer's comments on the contributor's PRs
-    given: dict[str, int] = {}  # the contributor's comments on a developer's PRs
-    for pr in corpus.prs:
-        for comment in pr.comments:
-            if comment.author == pr.contributor:
-                continue
-            if pr.contributor == contributor:
-                received[comment.author] = received.get(comment.author, 0) + 1
-            elif comment.author == contributor:
-                given[pr.contributor] = given.get(pr.contributor, 0) + 1
-
-    def strength(n: int) -> float:
-        return sum(decay**i for i in range(n))
-
-    scores = {
-        dev: strength(received.get(dev, 0)) + strength(given.get(dev, 0))
-        for dev in received.keys() | given.keys()
-    }
-    return rank_developers(scores.items(), corpus.comment_counts(), target, k)
+    table = corpus.review_table()
+    names = table.names
+    c = int(np.searchsorted(names, target.contributor))
+    if c == len(names) or names[c] != target.contributor:
+        return rank_developers((), corpus.comment_counts(), target, k)
+    review = table.reviews.comments
+    owner = table.contributor[table.comment_pr[review]]
+    author = table.author[review]
+    # A developer's comments on the contributor's PRs, and the contributor's
+    # comments on a developer's PRs.
+    received = np.bincount(author[owner == c], minlength=len(names))
+    given = np.bincount(owner[author == c], minlength=len(names))
+    devs = np.flatnonzero(received + given)
+    received, given = received[devs].tolist(), given[devs].tolist()
+    # Python's sum of decay**i, once per distinct count: a numpy power or
+    # cumsum could round a strength differently.
+    strength = {n: sum(decay**i for i in range(n)) for n in {*received, *given}}
+    scores = [strength[r] + strength[g] for r, g in zip(received, given)]
+    return rank_developers(
+        zip(names[devs].tolist(), scores), corpus.comment_counts(), target, k
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,8 @@ def cmd_evaluate(args) -> int:
         )
         for name in names
     ]
+    # An output directory that cannot be made fails before the backtest runs.
+    os.makedirs(config.output_dir, exist_ok=True)
     report = run_comparison(
         corpus,
         specs,
@@ -388,7 +390,6 @@ def cmd_evaluate(args) -> int:
         max_rounds=config.max_rounds,
         rd_scope=config.rd_scope,
     )
-    os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "report.csv")
     json_path = os.path.join(config.output_dir, "summary.json")
     with open(csv_path, "w", encoding="utf-8") as handle:

@@ -215,17 +215,13 @@ class ReviewCorpus:
     )
 
     def reviewer_ids(self) -> frozenset[str]:
-        return frozenset(
-            {
-                c.author
-                for pr in self.prs
-                for c in pr.comments
-                if c.author != pr.contributor
-            }
-        )
+        """Everyone who commented on another's PR, read off the review
+        table."""
+        return frozenset(self.review_table().reviewed[1])
 
     def contributor_ids(self) -> frozenset[str]:
-        return frozenset({pr.contributor for pr in self.prs})
+        table = self.review_table()
+        return frozenset(table.names[np.unique(table.contributor)].tolist())
 
     def comment_counts(self) -> dict[str, int]:
         """Total comments per author, counted in the review table; memoized
@@ -302,11 +298,17 @@ class ReviewCorpus:
         return rows[kept], cols[kept], values[kept]
 
     def stats(self) -> dict[str, int]:
+        """Counted over the PRs, not the review table: ``ingest`` and ``hgrec
+        stats`` call it on a corpus that has no table yet, and building one
+        costs several times this count."""
         return {
             "prs": len(self.prs),
             "comments": sum([len(pr.comments) for pr in self.prs]),
-            "reviewers": len(self.reviewer_ids()),
-            "contributors": len(self.contributor_ids()),
+            "reviewers": len(
+                {c.author for pr in self.prs for c in pr.comments
+                 if c.author != pr.contributor}
+            ),
+            "contributors": len({pr.contributor for pr in self.prs}),
         }
 
     def slice_until(self, cut: int) -> "ReviewCorpus":

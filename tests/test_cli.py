@@ -679,6 +679,25 @@ class TestEvaluate:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "jobs-2").exists()
 
+    @pytest.mark.parametrize("where", ["empty", "under-a-file"])
+    def test_unmakeable_output_dir_exits_2_before_the_backtest(
+        self, corpus_artifact, tmp_path, capsys, monkeypatch, where
+    ):
+        import hgrec.cli
+
+        def no_backtest(*args, **kwargs):
+            raise AssertionError("run_comparison was called")
+
+        monkeypatch.setattr(hgrec.cli, "run_comparison", no_backtest)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = {"empty": "", "under-a-file": str(blocker / "out")}[where]
+        assert main(["evaluate", "--corpus", corpus_artifact,
+                     "--recommenders", "hgrec,ac", "--output-dir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ")
+
     def test_compare_requires_two(self, corpus_artifact, capsys):
         assert main(["compare", "--corpus", corpus_artifact,
                      "--recommenders", "hgrec"]) == 2
